@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-sim bench-check fuzz smoke directed-smoke sharedstate-smoke overload-smoke soak-smoke
+.PHONY: build test vet race perfbench-build bench bench-sim bench-check fuzz smoke directed-smoke sharedstate-smoke overload-smoke soak-smoke
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,11 @@ vet:
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# perfbench-build compiles the benchmark module, which the root build skips
+# (perfbench/ is its own module importing internal/ through a replace).
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

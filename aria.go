@@ -72,8 +72,11 @@ type (
 	Message = core.Message
 	// Env is the environment binding a node runs against.
 	Env = core.Env
-	// Observer receives job lifecycle events.
+	// Observer receives a node's event stream: one Event per protocol
+	// action (submit, assign, start, complete, flood steps, ...).
 	Observer = core.Observer
+	// Event is one protocol action of one node; Kind names it.
+	Event = core.Event
 
 	// NodeID addresses a node on the overlay.
 	NodeID = overlay.NodeID

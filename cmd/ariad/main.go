@@ -152,7 +152,11 @@ func run(args []string, stop <-chan os.Signal) error {
 	}
 
 	logger := log.New(os.Stdout, fmt.Sprintf("ariad[%d] ", *id), log.Ltime|log.Lmicroseconds)
-	var obs core.Observer = &logObserver{log: logger}
+	// The counters are always attached: a daemon whose own planes are off
+	// still sees peers shed its ASSIGNs and its directory evict entries.
+	cnt := new(counters)
+	debugCounters.Store(cnt)
+	obs := core.Observers{&logObserver{log: logger}, cnt}
 	if *events != "" {
 		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -169,7 +173,7 @@ func run(args []string, stop <-chan os.Signal) error {
 				logger.Printf("flush event log: %v", ferr)
 			}
 		}()
-		obs = eventlog.Tee{obs, ew}
+		obs = append(obs, ew)
 	}
 
 	// Bounded span retention: the ring keeps the freshest trace-plane
@@ -177,7 +181,7 @@ func run(args []string, stop <-chan os.Signal) error {
 	var ring *trace.Ring
 	if *traceCap > 0 {
 		ring = trace.NewRing(*traceCap)
-		obs = eventlog.Tee{obs, ring}
+		obs = append(obs, ring)
 	}
 	debugRing.Store(ring)
 	debugRecovery.Store((*core.RecoveryStats)(nil)) // reset stale stats across run() calls
@@ -190,40 +194,22 @@ func run(args []string, stop <-chan os.Signal) error {
 	// assignee SIGKILLed with queued work) orphans the job forever.
 	protoCfg.AssignAck = *assignAck
 	protoCfg.NotifyInitiator = *notify
-	var members *memberCounters
 	if *probeInterval > 0 {
 		protoCfg.ProbeInterval = *probeInterval
 		protoCfg.ProbeTimeout = *probeTimeout
 		protoCfg.SuspectTimeout = *suspectTimeout
 		protoCfg.MaxDegree = *maxDegree
-		members = &memberCounters{log: logger}
-		obs = eventlog.Tee{obs, members}
 	}
-	debugMembers.Store(&memberCountersRef{members})
-
-	var ovl *overloadCounters
-	if *maxQueued > 0 || *maxPending > 0 || *retryCap > 0 {
-		protoCfg.MaxQueuedJobs = *maxQueued
-		protoCfg.MaxPendingSubmits = *maxPending
-		protoCfg.RetryBackoffCap = *retryCap
-		ovl = &overloadCounters{log: logger}
-		obs = eventlog.Tee{obs, ovl}
-	}
-	debugOverload.Store(&overloadCountersRef{ovl})
-
-	var dirCounters *directoryCounters
+	protoCfg.MaxQueuedJobs = *maxQueued
+	protoCfg.MaxPendingSubmits = *maxPending
+	protoCfg.RetryBackoffCap = *retryCap
 	if *directedCands > 0 {
 		protoCfg.DirectedCandidates = *directedCands
 		protoCfg.MinDirectedOffers = *minDirOffers
 		protoCfg.DirectoryCapacity = *dirCapacity
 		protoCfg.DirectoryTTL = *dirTTL
 		protoCfg.DirectoryGossip = *dirGossip
-		dirCounters = &directoryCounters{}
-		obs = eventlog.Tee{obs, dirCounters}
 	}
-	debugDirectory.Store(&directoryCountersRef{dirCounters})
-
-	var ssCounters *sharedStateCounters
 	if *sharedBound > 0 {
 		protoCfg.SharedStateBound = *sharedBound
 		protoCfg.SharedStateRetries = *sharedRetries
@@ -234,10 +220,7 @@ func run(args []string, stop <-chan os.Signal) error {
 		protoCfg.DirectoryCapacity = *dirCapacity
 		protoCfg.DirectoryTTL = *dirTTL
 		protoCfg.DirectoryGossip = *dirGossip
-		ssCounters = &sharedStateCounters{}
-		obs = eventlog.Tee{obs, ssCounters}
 	}
-	debugSharedState.Store(&sharedStateCountersRef{ssCounters})
 
 	node, err := transport.ListenTCP(transport.TCPConfig{
 		ID:        overlay.NodeID(*id),
@@ -364,16 +347,13 @@ func run(args []string, stop <-chan os.Signal) error {
 }
 
 // debugRing points at the current daemon instance's span ring (nil ring =
-// tracing off) and debugMembers at its membership counters (nil = membership
-// off); expvar closures read through them so repeated run() calls in one
-// process (tests) never double-publish.
+// tracing off) and debugCounters at its event counters; expvar closures read
+// through them so repeated run() calls in one process (tests) never
+// double-publish.
 var (
 	debugRing        atomic.Value // *trace.Ring
-	debugMembers     atomic.Value // *memberCountersRef
+	debugCounters    atomic.Pointer[counters]
 	debugRecovery    atomic.Value // *core.RecoveryStats (boot-time recovery)
-	debugDirectory   atomic.Value // *directoryCountersRef
-	debugOverload    atomic.Value // *overloadCountersRef
-	debugSharedState atomic.Value // *sharedStateCountersRef
 	debugIncarnation atomic.Value // uint64
 	debugWALFaults   atomic.Value // *faultStoreRef
 	debugVarsOnce    sync.Once
@@ -382,22 +362,6 @@ var (
 // faultStoreRef wraps the possibly-nil pointer so atomic.Value always
 // stores one concrete type.
 type faultStoreRef struct{ s *wal.FaultStore }
-
-// memberCountersRef wraps the possibly-nil pointer so atomic.Value always
-// stores one concrete type.
-type memberCountersRef struct{ c *memberCounters }
-
-// directoryCountersRef wraps the possibly-nil pointer so atomic.Value always
-// stores one concrete type.
-type directoryCountersRef struct{ c *directoryCounters }
-
-// overloadCountersRef wraps the possibly-nil pointer so atomic.Value always
-// stores one concrete type.
-type overloadCountersRef struct{ c *overloadCounters }
-
-// sharedStateCountersRef wraps the possibly-nil pointer so atomic.Value
-// always stores one concrete type.
-type sharedStateCountersRef struct{ c *sharedStateCounters }
 
 func publishDebugVars() {
 	debugVarsOnce.Do(func() {
@@ -411,32 +375,13 @@ func publishDebugVars() {
 			if r, _ := debugRing.Load().(*trace.Ring); r != nil {
 				return r.Counts()
 			}
-			return map[core.SpanKind]uint64{}
+			return map[core.Kind]uint64{}
 		}))
-		expvar.Publish("aria.membership", expvar.Func(func() interface{} {
-			if ref, _ := debugMembers.Load().(*memberCountersRef); ref != nil && ref.c != nil {
-				return ref.c.snapshot()
-			}
-			return map[string]uint64{}
-		}))
-		expvar.Publish("aria.directory", expvar.Func(func() interface{} {
-			if ref, _ := debugDirectory.Load().(*directoryCountersRef); ref != nil && ref.c != nil {
-				return ref.c.snapshot()
-			}
-			return map[string]uint64{}
-		}))
-		expvar.Publish("aria.overload", expvar.Func(func() interface{} {
-			if ref, _ := debugOverload.Load().(*overloadCountersRef); ref != nil && ref.c != nil {
-				return ref.c.snapshot()
-			}
-			return map[string]uint64{}
-		}))
-		expvar.Publish("aria.sharedstate", expvar.Func(func() interface{} {
-			if ref, _ := debugSharedState.Load().(*sharedStateCountersRef); ref != nil && ref.c != nil {
-				return ref.c.snapshot()
-			}
-			return map[string]uint64{}
-		}))
+		for _, name := range []string{"aria.membership", "aria.overload", "aria.directory", "aria.sharedstate"} {
+			expvar.Publish(name, expvar.Func(func() interface{} {
+				return debugCounters.Load().blocks()[name]
+			}))
+		}
 		// aria.runtime is the soak auditor's process-health probe: the
 		// live goroutine count bounds leak growth, pid locates the
 		// process's /proc entry for RSS, and incarnation ties the probe
@@ -483,176 +428,100 @@ func publishDebugVars() {
 	})
 }
 
-// memberCounters tallies liveness-detector activity for expvar and logs the
-// state transitions operators care about.
-type memberCounters struct {
-	core.NopObserver
-
-	log *log.Logger
-
-	suspected, refuted, dead, repaired, refloods atomic.Uint64
+// counters tallies membership, overload, directory, and shared-state
+// activity for the aria.* expvar blocks. Safe for concurrent use.
+type counters struct {
+	suspected, refuted, dead, repaired, refloods                           atomic.Uint64
+	requestsShed, assignsShed, reflooded, reenqueued, peersBusy, submitRej atomic.Uint64
+	hits, misses, dirFallbacks, probes, evictions                          atomic.Uint64
+	commits, conflicts, timeouts, granted, commitFallbacks                 atomic.Uint64
 }
 
-var _ core.MembershipObserver = (*memberCounters)(nil)
-
-func (m *memberCounters) PeerSuspected(_ time.Duration, _, peer overlay.NodeID) {
-	m.suspected.Add(1)
-	m.log.Printf("peer %v suspected", peer)
-}
-
-func (m *memberCounters) PeerRefuted(_ time.Duration, _, peer overlay.NodeID) {
-	m.refuted.Add(1)
-	m.log.Printf("peer %v refuted suspicion", peer)
-}
-
-func (m *memberCounters) PeerDead(_ time.Duration, _, peer overlay.NodeID) {
-	m.dead.Add(1)
-	m.log.Printf("peer %v confirmed dead", peer)
-}
-
-func (m *memberCounters) LinkRepaired(_ time.Duration, _, dead, replacement overlay.NodeID) {
-	m.repaired.Add(1)
-	m.log.Printf("overlay repaired: %v replaces dead %v", replacement, dead)
-}
-
-func (m *memberCounters) FloodEscalated(_ time.Duration, _ overlay.NodeID, uuid job.UUID, attempt, ttl int) {
-	m.refloods.Add(1)
-	m.log.Printf("job %s re-flood %d escalated to TTL %d", uuid.Short(), attempt, ttl)
-}
-
-func (m *memberCounters) snapshot() map[string]uint64 {
-	return map[string]uint64{
-		"suspected": m.suspected.Load(),
-		"refuted":   m.refuted.Load(),
-		"dead":      m.dead.Load(),
-		"repaired":  m.repaired.Load(),
-		"refloods":  m.refloods.Load(),
+// Observe implements core.Observer.
+func (c *counters) Observe(ev core.Event) {
+	switch ev.Kind {
+	case core.SpanSuspect:
+		c.suspected.Add(1)
+	case core.KindRefuted:
+		c.refuted.Add(1)
+	case core.SpanPeerDead:
+		c.dead.Add(1)
+	case core.SpanRepair:
+		c.repaired.Add(1)
+	case core.KindFloodEscalated:
+		c.refloods.Add(1)
+	case core.SpanBusy:
+		if ev.Msg == core.MsgAssign {
+			c.assignsShed.Add(1)
+		} else {
+			c.requestsShed.Add(1)
+		}
+	case core.SpanShed:
+		if ev.Requeued {
+			c.reenqueued.Add(1)
+		} else {
+			c.reflooded.Add(1)
+		}
+	case core.KindPeerBusy:
+		c.peersBusy.Add(1)
+	case core.KindSubmitRejected:
+		c.submitRej.Add(1)
+	case core.SpanDirectedProbe:
+		c.hits.Add(1)
+		c.probes.Add(uint64(ev.Fanout))
+	case core.KindDirectoryMiss:
+		c.misses.Add(1)
+	case core.SpanDirectoryFallback:
+		c.dirFallbacks.Add(1)
+	case core.KindDirectoryEvicted:
+		c.evictions.Add(1)
+	case core.SpanCommit:
+		c.commits.Add(1)
+	case core.KindConflictRecv:
+		c.conflicts.Add(1)
+	case core.SpanConflict:
+		if ev.Reason == core.ConflictTimeout {
+			c.timeouts.Add(1)
+		}
+	case core.KindCommitGranted:
+		c.granted.Add(1)
+	case core.SpanCommitFallback:
+		c.commitFallbacks.Add(1)
 	}
 }
 
-// overloadCounters tallies overload-control activity for expvar and logs the
-// shed decisions operators care about.
-type overloadCounters struct {
-	core.NopObserver
-
-	log *log.Logger
-
-	requestsShed, assignsShed, reflooded, reenqueued, peersBusy, submitRejects atomic.Uint64
-}
-
-var _ core.OverloadObserver = (*overloadCounters)(nil)
-
-func (o *overloadCounters) RequestShed(_ time.Duration, _ overlay.NodeID, _ job.UUID, _ int) {
-	o.requestsShed.Add(1)
-}
-
-func (o *overloadCounters) AssignShed(_ time.Duration, _ overlay.NodeID, uuid job.UUID, depth int) {
-	o.assignsShed.Add(1)
-	o.log.Printf("job %s ASSIGN shed with BUSY (queue depth %d)", uuid.Short(), depth)
-}
-
-func (o *overloadCounters) ShedRedispatched(_ time.Duration, _ overlay.NodeID, uuid job.UUID, reflooded bool) {
-	if reflooded {
-		o.reflooded.Add(1)
-		o.log.Printf("job %s re-flooded after BUSY", uuid.Short())
-	} else {
-		o.reenqueued.Add(1)
-		o.log.Printf("job %s re-enqueued after BUSY", uuid.Short())
-	}
-}
-
-func (o *overloadCounters) PeerBusy(_ time.Duration, _, peer overlay.NodeID) {
-	o.peersBusy.Add(1)
-}
-
-func (o *overloadCounters) SubmitRejected(_ time.Duration, _ overlay.NodeID, uuid job.UUID, pending int) {
-	o.submitRejects.Add(1)
-	o.log.Printf("job %s submit rejected (%d discoveries in flight)", uuid.Short(), pending)
-}
-
-func (o *overloadCounters) snapshot() map[string]uint64 {
-	return map[string]uint64{
-		"requestsShed":  o.requestsShed.Load(),
-		"assignsShed":   o.assignsShed.Load(),
-		"reflooded":     o.reflooded.Load(),
-		"reenqueued":    o.reenqueued.Load(),
-		"peersBusy":     o.peersBusy.Load(),
-		"submitRejects": o.submitRejects.Load(),
-	}
-}
-
-// directoryCounters tallies directed-discovery activity for expvar.
-type directoryCounters struct {
-	core.NopObserver
-
-	hits, misses, fallbacks, probes, evictions atomic.Uint64
-}
-
-var _ core.DirectoryObserver = (*directoryCounters)(nil)
-
-func (d *directoryCounters) DirectoryHit(_ time.Duration, _ overlay.NodeID, _ job.UUID, probes int) {
-	d.hits.Add(1)
-	d.probes.Add(uint64(probes))
-}
-
-func (d *directoryCounters) DirectoryMiss(time.Duration, overlay.NodeID, job.UUID) {
-	d.misses.Add(1)
-}
-
-func (d *directoryCounters) DirectoryFallback(time.Duration, overlay.NodeID, job.UUID, int) {
-	d.fallbacks.Add(1)
-}
-
-func (d *directoryCounters) DirectoryEvicted(time.Duration, overlay.NodeID, overlay.NodeID, string) {
-	d.evictions.Add(1)
-}
-
-func (d *directoryCounters) snapshot() map[string]uint64 {
-	return map[string]uint64{
-		"hits":      d.hits.Load(),
-		"misses":    d.misses.Load(),
-		"fallbacks": d.fallbacks.Load(),
-		"probes":    d.probes.Load(),
-		"evictions": d.evictions.Load(),
-	}
-}
-
-// sharedStateCounters tallies optimistic-commit activity for expvar.
-type sharedStateCounters struct {
-	core.NopObserver
-
-	commits, conflicts, timeouts, granted, fallbacks atomic.Uint64
-}
-
-var _ core.SharedStateObserver = (*sharedStateCounters)(nil)
-
-func (s *sharedStateCounters) CommitSent(time.Duration, overlay.NodeID, job.UUID, overlay.NodeID, int) {
-	s.commits.Add(1)
-}
-
-func (s *sharedStateCounters) CommitConflict(_ time.Duration, _ overlay.NodeID, _ job.UUID, _ overlay.NodeID, reason string, _ int) {
-	if reason == "timeout" {
-		s.timeouts.Add(1)
-	} else {
-		s.conflicts.Add(1)
-	}
-}
-
-func (s *sharedStateCounters) CommitGranted(time.Duration, overlay.NodeID, job.UUID, overlay.NodeID, int) {
-	s.granted.Add(1)
-}
-
-func (s *sharedStateCounters) CommitFallback(time.Duration, overlay.NodeID, job.UUID, int) {
-	s.fallbacks.Add(1)
-}
-
-func (s *sharedStateCounters) snapshot() map[string]uint64 {
-	return map[string]uint64{
-		"commits":   s.commits.Load(),
-		"conflicts": s.conflicts.Load(),
-		"timeouts":  s.timeouts.Load(),
-		"granted":   s.granted.Load(),
-		"fallbacks": s.fallbacks.Load(),
+// blocks snapshots the counters as the aria.* expvar maps, keyed by name.
+func (c *counters) blocks() map[string]map[string]uint64 {
+	return map[string]map[string]uint64{
+		"aria.membership": {
+			"suspected": c.suspected.Load(),
+			"refuted":   c.refuted.Load(),
+			"dead":      c.dead.Load(),
+			"repaired":  c.repaired.Load(),
+			"refloods":  c.refloods.Load(),
+		},
+		"aria.overload": {
+			"requestsShed":  c.requestsShed.Load(),
+			"assignsShed":   c.assignsShed.Load(),
+			"reflooded":     c.reflooded.Load(),
+			"reenqueued":    c.reenqueued.Load(),
+			"peersBusy":     c.peersBusy.Load(),
+			"submitRejects": c.submitRej.Load(),
+		},
+		"aria.directory": {
+			"hits":      c.hits.Load(),
+			"misses":    c.misses.Load(),
+			"fallbacks": c.dirFallbacks.Load(),
+			"probes":    c.probes.Load(),
+			"evictions": c.evictions.Load(),
+		},
+		"aria.sharedstate": {
+			"commits":   c.commits.Load(),
+			"conflicts": c.conflicts.Load(),
+			"timeouts":  c.timeouts.Load(),
+			"granted":   c.granted.Load(),
+			"fallbacks": c.commitFallbacks.Load(),
+		},
 	}
 }
 
@@ -710,34 +579,52 @@ func parsePolicy(s string) (sched.Policy, error) {
 	return sched.ParsePolicy(s)
 }
 
-// logObserver prints job lifecycle events.
+// logObserver prints job lifecycle events and the membership and overload
+// transitions operators care about.
 type logObserver struct {
-	core.NopObserver
-
 	log *log.Logger
 }
 
-func (o *logObserver) JobSubmitted(_ time.Duration, _ overlay.NodeID, p job.Profile) {
-	o.log.Printf("job %s submitted (ert %v, %s)", p.UUID.Short(), p.ERT, p.Req)
-}
-
-func (o *logObserver) JobAssigned(_ time.Duration, uuid job.UUID, from, to overlay.NodeID, cost sched.Cost, resched bool) {
-	verb := "assigned"
-	if resched {
-		verb = "rescheduled"
+// Observe implements core.Observer.
+func (o *logObserver) Observe(ev core.Event) {
+	id := ev.UUID.Short()
+	switch ev.Kind {
+	case core.SpanSubmit:
+		o.log.Printf("job %s submitted", id)
+	case core.SpanAssign, core.KindCommitGranted:
+		if !ev.Copy {
+			o.log.Printf("job %s assigned %v -> %v (cost %.1f)", id, ev.Node, ev.Peer, float64(ev.Cost))
+		}
+	case core.SpanReschedule:
+		o.log.Printf("job %s rescheduled %v -> %v (cost %.1f)", id, ev.Node, ev.Peer, float64(ev.Cost))
+	case core.SpanStart:
+		o.log.Printf("job %s started on %v", id, ev.Node)
+	case core.SpanComplete:
+		o.log.Printf("job %s completed on %v (waited %v, ran %v)", id, ev.Node,
+			ev.Job.WaitingTime().Round(time.Millisecond), ev.Job.ExecutionTime().Round(time.Millisecond))
+	case core.SpanFail:
+		o.log.Printf("job %s failed: %s", id, ev.Reason)
+	case core.SpanSuspect:
+		o.log.Printf("peer %v suspected", ev.Peer)
+	case core.KindRefuted:
+		o.log.Printf("peer %v refuted suspicion", ev.Peer)
+	case core.SpanPeerDead:
+		o.log.Printf("peer %v confirmed dead", ev.Peer)
+	case core.SpanRepair:
+		o.log.Printf("overlay repaired: %v replaces dead %v", ev.Peer, ev.Origin)
+	case core.KindFloodEscalated:
+		o.log.Printf("job %s re-flood %d escalated to TTL %d", id, ev.Attempt, ev.TTL)
+	case core.SpanBusy:
+		if ev.Msg == core.MsgAssign {
+			o.log.Printf("job %s ASSIGN shed with BUSY (queue depth %d)", id, ev.Fanout)
+		}
+	case core.SpanShed:
+		if ev.Requeued {
+			o.log.Printf("job %s re-enqueued after BUSY", id)
+		} else {
+			o.log.Printf("job %s re-flooded after BUSY", id)
+		}
+	case core.KindSubmitRejected:
+		o.log.Printf("job %s submit rejected (%d discoveries in flight)", id, ev.Count)
 	}
-	o.log.Printf("job %s %s %v -> %v (cost %.1f)", uuid.Short(), verb, from, to, float64(cost))
-}
-
-func (o *logObserver) JobStarted(_ time.Duration, node overlay.NodeID, uuid job.UUID) {
-	o.log.Printf("job %s started on %v", uuid.Short(), node)
-}
-
-func (o *logObserver) JobCompleted(_ time.Duration, node overlay.NodeID, j *job.Job) {
-	o.log.Printf("job %s completed on %v (waited %v, ran %v)",
-		j.UUID.Short(), node, j.WaitingTime().Round(time.Millisecond), j.ExecutionTime().Round(time.Millisecond))
-}
-
-func (o *logObserver) JobFailed(_ time.Duration, _ overlay.NodeID, uuid job.UUID, reason string) {
-	o.log.Printf("job %s failed: %s", uuid.Short(), reason)
 }

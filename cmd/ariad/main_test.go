@@ -1,19 +1,24 @@
 package main
 
 import (
+	"encoding/json"
+	"expvar"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"testing"
 	"time"
 
+	"github.com/smartgrid/aria/internal/core"
 	"github.com/smartgrid/aria/internal/ctl"
-	"testing"
-
+	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/overlay"
 	"github.com/smartgrid/aria/internal/resource"
 	"github.com/smartgrid/aria/internal/sched"
+	"github.com/smartgrid/aria/internal/transport"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -296,6 +301,74 @@ func TestDaemonRestartRecoversFromDataDir(t *testing.T) {
 		}
 		if i > 100 {
 			t.Fatalf("restarted daemon did not resume the job: %v %+v", err, q)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestCountersAlwaysAttached pins that every expvar counter block listens
+// regardless of the daemon's own flags: a daemon with no overload bounds
+// still counts a peer's BUSY reply in aria.overload.
+func TestCountersAlwaysAttached(t *testing.T) {
+	base := 40000 + rand.Intn(20000)
+	addr := func(off int) string { return fmt.Sprintf("127.0.0.1:%d", base+off) }
+	stop := make(chan os.Signal)
+	done := make(chan error, 1)
+	args := []string{
+		"-id", "0",
+		"-listen", addr(0),
+		"-control", addr(10),
+		"-peers", "1=" + addr(1), // the peer speaks through a raw connection below
+		"-neighbors", "1",
+		"-epsilon", "0",
+		"-seed", "7",
+	}
+	go func() { done <- run(args, stop) }()
+	defer func() {
+		close(stop)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("daemon exit: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("daemon did not shut down")
+		}
+	}()
+	var conn net.Conn
+	var err error
+	for i := 0; i < 100; i++ {
+		if conn, err = net.Dial("tcp", addr(0)); err == nil {
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("daemon never listened: %v", err)
+	}
+	defer conn.Close()
+	busy := core.Message{Type: core.MsgBusy, From: 1, Re: core.MsgRequest, Job: job.Profile{
+		UUID: "0123456789abcdef0123456789abcdef",
+		Req: resource.Requirements{
+			Arch: resource.ArchAMD64, OS: resource.OSLinux, MinMemoryGB: 1, MinDiskGB: 1,
+		},
+		ERT:   time.Minute,
+		Class: job.ClassBatch,
+	}}
+	if err := transport.WriteMessage(conn, busy); err != nil {
+		t.Fatal(err)
+	}
+	publishDebugVars()
+	for i := 0; ; i++ {
+		var block map[string]uint64
+		if err := json.Unmarshal([]byte(expvar.Get("aria.overload").String()), &block); err != nil {
+			t.Fatal(err)
+		}
+		if block["peersBusy"] == 1 {
+			return
+		}
+		if i > 100 {
+			t.Fatalf("aria.overload = %v, want peersBusy 1", block)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/smartgrid/aria/internal/core"
 	"github.com/smartgrid/aria/internal/eventlog"
 	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/resource"
@@ -37,13 +38,17 @@ func writeSampleLog(t *testing.T) string {
 	}
 	a := mk("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa")
 	b := mk("bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb")
-	w.JobSubmitted(0, 1, a.Profile)
-	w.JobAssigned(time.Second, a.UUID, 1, 2, 100, false)
-	w.JobAssigned(time.Minute, a.UUID, 2, 3, 50, true)
-	w.JobStarted(30*time.Minute, 3, a.UUID)
-	w.JobCompleted(90*time.Minute, 3, a)
-	w.JobSubmitted(time.Minute, 1, b.Profile)
-	w.JobFailed(2*time.Minute, 1, b.UUID, "no candidate found")
+	for _, ev := range []core.Event{
+		{At: 0, Node: 1, Kind: core.SpanSubmit, UUID: a.UUID},
+		{At: time.Second, Node: 1, Kind: core.SpanAssign, UUID: a.UUID, Peer: 2, Cost: 100},
+		{At: time.Minute, Node: 2, Kind: core.SpanReschedule, UUID: a.UUID, Peer: 3, Cost: 50},
+		{At: 30 * time.Minute, Node: 3, Kind: core.SpanStart, UUID: a.UUID},
+		{At: 90 * time.Minute, Node: 3, Kind: core.SpanComplete, UUID: a.UUID, Job: a},
+		{At: time.Minute, Node: 1, Kind: core.SpanSubmit, UUID: b.UUID},
+		{At: 2 * time.Minute, Node: 1, Kind: core.SpanFail, UUID: b.UUID, Reason: "no candidate found"},
+	} {
+		w.Observe(ev)
+	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -120,8 +120,6 @@ func run() error {
 
 // printer logs protocol events with wall-clock offsets.
 type printer struct {
-	core.NopObserver
-
 	start time.Time
 
 	mu          sync.Mutex
@@ -133,26 +131,25 @@ func (p *printer) stamp() string {
 	return time.Since(p.start).Round(time.Millisecond).String()
 }
 
-func (p *printer) JobAssigned(_ time.Duration, uuid job.UUID, from, to overlay.NodeID, _ sched.Cost, resched bool) {
-	verb := "assigned"
-	if resched {
-		verb = "RESCHEDULED"
+// Observe implements core.Observer: it prints the lifecycle steps and skips
+// the rest of the event stream (floods, offers, probes).
+func (p *printer) Observe(ev core.Event) {
+	switch ev.Kind {
+	case core.SpanAssign:
+		fmt.Printf("[%8s] job %s assigned %v -> %v\n", p.stamp(), ev.UUID.Short(), ev.Node, ev.Peer)
+	case core.SpanReschedule:
 		p.mu.Lock()
 		p.reschedules++
 		p.mu.Unlock()
+		fmt.Printf("[%8s] job %s RESCHEDULED %v -> %v\n", p.stamp(), ev.UUID.Short(), ev.Node, ev.Peer)
+	case core.SpanStart:
+		fmt.Printf("[%8s] job %s started on %v\n", p.stamp(), ev.UUID.Short(), ev.Node)
+	case core.SpanComplete:
+		p.mu.Lock()
+		p.completed++
+		p.mu.Unlock()
+		fmt.Printf("[%8s] job %s completed on %v\n", p.stamp(), ev.UUID.Short(), ev.Node)
 	}
-	fmt.Printf("[%8s] job %s %s %v -> %v\n", p.stamp(), uuid.Short(), verb, from, to)
-}
-
-func (p *printer) JobStarted(_ time.Duration, node overlay.NodeID, uuid job.UUID) {
-	fmt.Printf("[%8s] job %s started on %v\n", p.stamp(), uuid.Short(), node)
-}
-
-func (p *printer) JobCompleted(_ time.Duration, node overlay.NodeID, j *job.Job) {
-	p.mu.Lock()
-	p.completed++
-	p.mu.Unlock()
-	fmt.Printf("[%8s] job %s completed on %v\n", p.stamp(), j.UUID.Short(), node)
 }
 
 func (p *printer) completedCount() int {

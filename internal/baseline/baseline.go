@@ -88,8 +88,9 @@ func RunN(k Kind, c scenario.Config, runs int) (*metrics.Aggregate, []*metrics.R
 // submit performs one baseline assignment: choose a node with global
 // knowledge and deliver the job directly.
 func submit(k Kind, d *scenario.Deployment, at time.Duration, p job.Profile) {
+	// The central scheduler is no protocol node: its events carry no span.
 	rec := d.Recorder
-	rec.JobSubmitted(at, -1, p)
+	rec.Observe(core.Event{Kind: core.SpanSubmit, At: at, Node: -1, UUID: p.UUID})
 	var target *core.Node
 	var cost sched.Cost
 	switch k {
@@ -99,10 +100,10 @@ func submit(k Kind, d *scenario.Deployment, at time.Duration, p job.Profile) {
 		target, cost = randomMatch(d, p)
 	}
 	if target == nil {
-		rec.JobFailed(at, -1, p.UUID, "no candidate found")
+		rec.Observe(core.Event{Kind: core.SpanFail, At: at, Node: -1, UUID: p.UUID, Reason: "no candidate found"})
 		return
 	}
-	rec.JobAssigned(at, p.UUID, -1, target.ID(), cost, false)
+	rec.Observe(core.Event{Kind: core.SpanAssign, At: at, Node: -1, UUID: p.UUID, Peer: target.ID(), Cost: cost})
 	// Deliver the ASSIGN after one scheduler round trip; the node's own
 	// queueing and execution machinery take over from there.
 	d.Engine.Schedule(assignmentLatency, func() {

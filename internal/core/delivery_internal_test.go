@@ -107,8 +107,6 @@ func (e *lossyEnv) Rand() *rand.Rand { return e.net.engine.Rand() }
 
 // deliveryCounter records lifecycle and delivery-hardening events.
 type deliveryCounter struct {
-	NopObserver
-
 	starts    map[job.UUID]int
 	completed map[job.UUID]int
 	failed    int
@@ -116,10 +114,7 @@ type deliveryCounter struct {
 	recovered int
 }
 
-var (
-	_ Observer         = (*deliveryCounter)(nil)
-	_ DeliveryObserver = (*deliveryCounter)(nil)
-)
+var _ Observer = (*deliveryCounter)(nil)
 
 func newDeliveryCounter() *deliveryCounter {
 	return &deliveryCounter{
@@ -128,24 +123,19 @@ func newDeliveryCounter() *deliveryCounter {
 	}
 }
 
-func (c *deliveryCounter) JobStarted(_ time.Duration, _ overlay.NodeID, uuid job.UUID) {
-	c.starts[uuid]++
-}
-
-func (c *deliveryCounter) JobCompleted(_ time.Duration, _ overlay.NodeID, j *job.Job) {
-	c.completed[j.UUID]++
-}
-
-func (c *deliveryCounter) JobFailed(time.Duration, overlay.NodeID, job.UUID, string) {
-	c.failed++
-}
-
-func (c *deliveryCounter) AssignRetried(time.Duration, overlay.NodeID, job.UUID, int) {
-	c.retried++
-}
-
-func (c *deliveryCounter) AssignRecovered(time.Duration, overlay.NodeID, job.UUID) {
-	c.recovered++
+func (c *deliveryCounter) Observe(ev Event) {
+	switch ev.Kind {
+	case SpanStart:
+		c.starts[ev.UUID]++
+	case SpanComplete:
+		c.completed[ev.UUID]++
+	case SpanFail:
+		c.failed++
+	case SpanRetry:
+		c.retried++
+	case KindAssignRecovered:
+		c.recovered++
+	}
 }
 
 // ackConfig is the handshake-enabled protocol config used by these tests.

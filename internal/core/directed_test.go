@@ -14,13 +14,13 @@ import (
 	"github.com/smartgrid/aria/internal/transport"
 )
 
-// dirRecorder extends the lifecycle recorder with trace-span and directory
-// observer capture, so tests can assert on the shape of discovery rounds.
+// dirRecorder extends the lifecycle recorder with span and directory event
+// capture, so tests can assert on the shape of discovery rounds.
 type dirRecorder struct {
 	*recorder
 
 	dmu       sync.Mutex
-	spans     []core.TraceEvent
+	spans     []core.Event
 	hits      int
 	probes    int
 	misses    int
@@ -28,51 +28,35 @@ type dirRecorder struct {
 	evictions map[string]int
 }
 
-var (
-	_ core.TraceObserver     = (*dirRecorder)(nil)
-	_ core.DirectoryObserver = (*dirRecorder)(nil)
-)
-
 func newDirRecorder() *dirRecorder {
 	return &dirRecorder{recorder: newRecorder(), evictions: make(map[string]int)}
 }
 
-func (r *dirRecorder) TraceSpan(ev core.TraceEvent) {
+func (r *dirRecorder) Observe(ev core.Event) {
+	r.recorder.Observe(ev)
 	r.dmu.Lock()
 	defer r.dmu.Unlock()
-	r.spans = append(r.spans, ev)
-}
-
-func (r *dirRecorder) DirectoryHit(_ time.Duration, _ overlay.NodeID, _ job.UUID, probes int) {
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
-	r.hits++
-	r.probes += probes
-}
-
-func (r *dirRecorder) DirectoryMiss(_ time.Duration, _ overlay.NodeID, _ job.UUID) {
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
-	r.misses++
-}
-
-func (r *dirRecorder) DirectoryFallback(_ time.Duration, _ overlay.NodeID, _ job.UUID, _ int) {
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
-	r.fallbacks++
-}
-
-func (r *dirRecorder) DirectoryEvicted(_ time.Duration, _, _ overlay.NodeID, reason string) {
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
-	r.evictions[reason]++
+	if ev.Span != 0 {
+		r.spans = append(r.spans, ev)
+	}
+	switch ev.Kind {
+	case core.SpanDirectedProbe:
+		r.hits++
+		r.probes += ev.Fanout
+	case core.KindDirectoryMiss:
+		r.misses++
+	case core.SpanDirectoryFallback:
+		r.fallbacks++
+	case core.KindDirectoryEvicted:
+		r.evictions[ev.Reason]++
+	}
 }
 
 // jobSpans returns the recorded spans of the given kind for one job.
-func (r *dirRecorder) jobSpans(uuid job.UUID, kind core.SpanKind) []core.TraceEvent {
+func (r *dirRecorder) jobSpans(uuid job.UUID, kind core.Kind) []core.Event {
 	r.dmu.Lock()
 	defer r.dmu.Unlock()
-	var out []core.TraceEvent
+	var out []core.Event
 	for _, ev := range r.spans {
 		if ev.UUID == uuid && ev.Kind == kind {
 			out = append(out, ev)

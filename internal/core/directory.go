@@ -138,9 +138,7 @@ func (n *Node) startDirected(p job.Profile, parent uint64) bool {
 		// cache would aim the whole round at its few entries and herd load
 		// onto them. Flood instead — every ACCEPT it draws carries the
 		// sender's digest, so the miss itself warms the cache.
-		if n.dirObs != nil {
-			n.dirObs.DirectoryMiss(now, n.id, p.UUID)
-		}
+		n.emit(Event{Kind: KindDirectoryMiss, UUID: p.UUID})
 		return false
 	}
 	// usable arrives least-loaded first (join-shortest-known-queue), so the
@@ -157,9 +155,7 @@ func (n *Node) startDirected(p job.Profile, parent uint64) bool {
 		pend.offers = append(pend.offers, offer{node: n.id, cost: cost})
 	}
 	n.pending[p.UUID] = pend
-	if n.tobs != nil {
-		pend.span = n.nextSpanID()
-	}
+	pend.span = n.nextSpanID()
 	// One wave, many unicasts: every probe shares the sequence number and
 	// span, exactly like flood copies of one wave. Wire TTL 0 means a
 	// receiver that cannot host the job has nothing to forward — the probe
@@ -179,14 +175,11 @@ func (n *Node) startDirected(p job.Profile, parent uint64) bool {
 	for _, d := range targets {
 		n.env.Send(d.Node, msg)
 	}
-	n.emitSpan(TraceEvent{
+	n.emitSpan(Event{
 		Kind: SpanDirectedProbe, UUID: p.UUID, Span: pend.span, Parent: parent,
 		Msg: MsgRequest, Hop: 0, TTL: 1, Fanout: len(targets),
 		Seq: msg.Seq, Origin: n.id,
 	})
-	if n.dirObs != nil {
-		n.dirObs.DirectoryHit(now, n.id, p.UUID, len(targets))
-	}
 	uuid := p.UUID
 	pend.timer = n.env.Schedule(n.cfg.AcceptTimeout, func() { n.decide(uuid) })
 	return true
@@ -199,12 +192,9 @@ func (n *Node) startDirected(p job.Profile, parent uint64) bool {
 // holds the lock.
 func (n *Node) directedFallback(pend *pendingJob) {
 	uuid := pend.profile.UUID
-	fb := n.emitSpan(TraceEvent{
+	fb := n.emitSpan(Event{
 		Kind: SpanDirectoryFallback, UUID: uuid, Parent: pend.span,
 		Attempt: pend.directedOffers,
 	})
-	if n.dirObs != nil {
-		n.dirObs.DirectoryFallback(n.env.Now(), n.id, uuid, pend.directedOffers)
-	}
 	n.startFlood(pend.profile, pend.retries, fb)
 }

@@ -4,9 +4,7 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/overlay"
-	"github.com/smartgrid/aria/internal/sched"
 )
 
 // Cancel revokes a scheduled callback; it reports whether the revocation
@@ -38,30 +36,6 @@ type Env interface {
 	Rand() *rand.Rand
 }
 
-// Observer receives job lifecycle events for metrics collection. All
-// callbacks run on the node's execution context and must not block or call
-// back into the node. A nil Observer is replaced by NopObserver.
-type Observer interface {
-	// JobSubmitted fires when an initiator accepts a job submission.
-	JobSubmitted(at time.Duration, initiator overlay.NodeID, p job.Profile)
-
-	// JobAssigned fires when a node delegates a job: on first assignment
-	// (rescheduled false, from = initiator) and on every reschedule
-	// (rescheduled true, from = previous assignee).
-	JobAssigned(at time.Duration, uuid job.UUID, from, to overlay.NodeID, cost sched.Cost, rescheduled bool)
-
-	// JobStarted fires when the assignee begins executing the job.
-	JobStarted(at time.Duration, node overlay.NodeID, uuid job.UUID)
-
-	// JobCompleted fires when execution finishes; j carries the final
-	// lifecycle timestamps.
-	JobCompleted(at time.Duration, node overlay.NodeID, j *job.Job)
-
-	// JobFailed fires when an initiator abandons a job (discovery
-	// exhausted its retries, or the failsafe watchdog gave up).
-	JobFailed(at time.Duration, initiator overlay.NodeID, uuid job.UUID, reason string)
-}
-
 // MembershipEnv is an optional extension of Env giving the membership plane
 // write access to the node's overlay neighborhood: pruning the link to a
 // confirmed-dead neighbor and reconnecting to a neighbor-of-neighbor to
@@ -78,155 +52,3 @@ type MembershipEnv interface {
 	// peer is unreachable. It reports whether a link was created.
 	Reconnect(peer overlay.NodeID, maxDegree int) bool
 }
-
-// MembershipObserver is an optional extension of Observer reporting
-// liveness-detector and overlay-repair events. Observers that do not
-// implement it simply miss these events; the node detects support once at
-// construction with a type assertion.
-type MembershipObserver interface {
-	// PeerSuspected fires when a probe of peer timed out and node moved
-	// it from alive to suspect.
-	PeerSuspected(at time.Duration, node, peer overlay.NodeID)
-
-	// PeerRefuted fires when a suspected peer proved alive in time (a
-	// PING or PONG arrived inside the suspect window).
-	PeerRefuted(at time.Duration, node, peer overlay.NodeID)
-
-	// PeerDead fires when the suspect window closed without refutation;
-	// the verdict is terminal.
-	PeerDead(at time.Duration, node, peer overlay.NodeID)
-
-	// LinkRepaired fires when node replaced its pruned link to dead with
-	// a new link to replacement.
-	LinkRepaired(at time.Duration, node, dead, replacement overlay.NodeID)
-
-	// FloodEscalated fires when a zero-offer discovery round is
-	// re-flooded with an escalated TTL; attempt counts from 1.
-	FloodEscalated(at time.Duration, node overlay.NodeID, uuid job.UUID, attempt, ttl int)
-}
-
-// RecoveryObserver is an optional extension of Observer reporting journal
-// recovery events (the fail-recover extension). Observers that do not
-// implement it simply miss these events; the node detects support once at
-// construction with a type assertion.
-type RecoveryObserver interface {
-	// NodeRecovered fires once per Recover call, after the node rebuilt
-	// its scheduler state from the journal: jobsRecovered counts the
-	// distinct job-state entries restored (queued + tracked + open
-	// handshakes), replayRecords the journal records folded on top of the
-	// snapshot, and snapshotAge how far behind the crash instant the
-	// snapshot was (the whole uptime when no snapshot existed).
-	NodeRecovered(at time.Duration, node overlay.NodeID, jobsRecovered, replayRecords int, snapshotAge time.Duration)
-}
-
-// DirectoryObserver is an optional extension of Observer reporting
-// gossip-fed directory activity (the directed-discovery extension).
-// Observers that do not implement it simply miss these events; the node
-// detects support once at construction with a type assertion.
-type DirectoryObserver interface {
-	// DirectoryHit fires when a discovery round goes directed: probes is
-	// the number of TTL-0 targeted REQUESTs sent (each one message on the
-	// wire, versus a flood's fan-out cascade).
-	DirectoryHit(at time.Duration, node overlay.NodeID, uuid job.UUID, probes int)
-
-	// DirectoryMiss fires when the directory held no satisfying candidate
-	// and discovery fell straight through to the classic flood.
-	DirectoryMiss(at time.Duration, node overlay.NodeID, uuid job.UUID)
-
-	// DirectoryFallback fires when a directed round starved (offers remote
-	// ACCEPTs arrived, below MinDirectedOffers) and the flood fallback ran.
-	DirectoryFallback(at time.Duration, node overlay.NodeID, uuid job.UUID, offers int)
-
-	// DirectoryEvicted fires when a cached digest for subject is dropped;
-	// reason is one of the directory.Evict* constants (capacity, stale,
-	// suspect, dead, unreachable).
-	DirectoryEvicted(at time.Duration, node, subject overlay.NodeID, reason string)
-}
-
-// OverloadObserver is an optional extension of Observer reporting load
-// shedding and admission-control events (the overload-control extension).
-// Observers that do not implement it simply miss these events; the node
-// detects support once at construction with a type assertion.
-type OverloadObserver interface {
-	// RequestShed fires when a saturated provider declines to offer on a
-	// REQUEST it could otherwise satisfy; depth is its queued+running
-	// count at that moment.
-	RequestShed(at time.Duration, node overlay.NodeID, uuid job.UUID, depth int)
-
-	// AssignShed fires when a saturated provider refuses an incoming
-	// ASSIGN with a BUSY reply; depth is its queued+running count.
-	AssignShed(at time.Duration, node overlay.NodeID, uuid job.UUID, depth int)
-
-	// ShedRedispatched fires when the sender of a shed ASSIGN re-homes
-	// the job: reflooded true for an initiator re-flooding a fresh
-	// REQUEST, false for an assignee re-enqueueing locally.
-	ShedRedispatched(at time.Duration, node overlay.NodeID, uuid job.UUID, reflooded bool)
-
-	// PeerBusy fires when a node learns a peer is saturated from any BUSY
-	// reply (advisory or shed) and demotes it in its directory.
-	PeerBusy(at time.Duration, node, peer overlay.NodeID)
-
-	// SubmitRejected fires when admission control bounces a local Submit
-	// (MaxPendingSubmits exceeded); pending is the in-flight discovery
-	// count at that moment.
-	SubmitRejected(at time.Duration, node overlay.NodeID, uuid job.UUID, pending int)
-}
-
-// SharedStateObserver is an optional extension of Observer reporting
-// optimistic-commit activity (the shared-state scheduler arm). Observers
-// that do not implement it simply miss these events; the node detects
-// support once at construction with a type assertion.
-type SharedStateObserver interface {
-	// CommitSent fires when an initiator commits a job optimistically
-	// against its cached view; attempt counts from 1.
-	CommitSent(at time.Duration, node overlay.NodeID, uuid job.UUID, target overlay.NodeID, attempt int)
-
-	// CommitConflict fires when a commit attempt failed: reason is a
-	// ConflictKind string (busy, stale, lost) for a provider's typed
-	// rejection, or "timeout" when the provider never answered.
-	CommitConflict(at time.Duration, node overlay.NodeID, uuid job.UUID, target overlay.NodeID, reason string, attempt int)
-
-	// CommitGranted fires when the provider accepted the commit; attempts
-	// is the total commits this round took (1 = first try).
-	CommitGranted(at time.Duration, node overlay.NodeID, uuid job.UUID, target overlay.NodeID, attempts int)
-
-	// CommitFallback fires when K failed commits exhausted the cached view
-	// and the initiator escalated to the classic REQUEST flood.
-	CommitFallback(at time.Duration, node overlay.NodeID, uuid job.UUID, attempts int)
-}
-
-// DeliveryObserver is an optional extension of Observer reporting delivery
-// hardening events (the AssignAck handshake). Observers that do not
-// implement it simply miss these events; the node detects support once at
-// construction with a type assertion.
-type DeliveryObserver interface {
-	// AssignRetried fires when a node retransmits an ASSIGN whose
-	// acknowledgement did not arrive in time; attempt counts from 1.
-	AssignRetried(at time.Duration, node overlay.NodeID, uuid job.UUID, attempt int)
-
-	// AssignRecovered fires when an assignment survived message loss:
-	// the acknowledgement arrived after at least one retransmission, or
-	// the fallback path re-homed the job (re-flood or local re-enqueue).
-	AssignRecovered(at time.Duration, node overlay.NodeID, uuid job.UUID)
-}
-
-// NopObserver ignores every event.
-type NopObserver struct{}
-
-var _ Observer = NopObserver{}
-
-// JobSubmitted implements Observer.
-func (NopObserver) JobSubmitted(time.Duration, overlay.NodeID, job.Profile) {}
-
-// JobAssigned implements Observer.
-func (NopObserver) JobAssigned(time.Duration, job.UUID, overlay.NodeID, overlay.NodeID, sched.Cost, bool) {
-}
-
-// JobStarted implements Observer.
-func (NopObserver) JobStarted(time.Duration, overlay.NodeID, job.UUID) {}
-
-// JobCompleted implements Observer.
-func (NopObserver) JobCompleted(time.Duration, overlay.NodeID, *job.Job) {}
-
-// JobFailed implements Observer.
-func (NopObserver) JobFailed(time.Duration, overlay.NodeID, job.UUID, string) {}

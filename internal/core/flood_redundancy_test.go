@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/smartgrid/aria/internal/core"
-	"github.com/smartgrid/aria/internal/eventlog"
 	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/overlay"
 	"github.com/smartgrid/aria/internal/sched"
@@ -41,7 +40,7 @@ func TestFloodRedundancyAccounting(t *testing.T) {
 	cluster := transport.NewSimCluster(engine, graph, overlay.FixedLatency(10*time.Millisecond))
 	rec := newRecorder()
 	collector := trace.NewCollector()
-	obs := eventlog.Tee{rec, collector}
+	obs := core.Observers{rec, collector}
 	for i := 0; i < n; i++ {
 		// All POWER: the AMD64 job matches nobody, so every receipt either
 		// forwards or is suppressed — pure flood mechanics.
@@ -115,7 +114,7 @@ func TestFloodRedundancyAccounting(t *testing.T) {
 	// transmits at most RequestFanout copies exactly once.
 	reached := len(deliveries)
 	ratio := float64(len(reqs)) / float64(reached)
-	if maxRatio := float64((reached + 1) * cfg.RequestFanout) / float64(reached); ratio > maxRatio {
+	if maxRatio := float64((reached+1)*cfg.RequestFanout) / float64(reached); ratio > maxRatio {
 		t.Fatalf("redundancy ratio %.2f exceeds the structural bound %.2f (%d transmissions, %d nodes reached)",
 			ratio, maxRatio, len(reqs), reached)
 	}

@@ -16,8 +16,6 @@ import (
 
 // countingObserver counts lifecycle events per job for invariant checks.
 type countingObserver struct {
-	core.NopObserver
-
 	starts      map[job.UUID]int
 	completions map[job.UUID]int
 	failures    map[job.UUID]int
@@ -31,16 +29,15 @@ func newCountingObserver() *countingObserver {
 	}
 }
 
-func (o *countingObserver) JobStarted(_ time.Duration, _ overlay.NodeID, uuid job.UUID) {
-	o.starts[uuid]++
-}
-
-func (o *countingObserver) JobCompleted(_ time.Duration, _ overlay.NodeID, j *job.Job) {
-	o.completions[j.UUID]++
-}
-
-func (o *countingObserver) JobFailed(_ time.Duration, _ overlay.NodeID, uuid job.UUID, _ string) {
-	o.failures[uuid]++
+func (o *countingObserver) Observe(ev core.Event) {
+	switch ev.Kind {
+	case core.SpanStart:
+		o.starts[ev.UUID]++
+	case core.SpanComplete:
+		o.completions[ev.UUID]++
+	case core.SpanFail:
+		o.failures[ev.UUID]++
+	}
 }
 
 // TestInvariantExactlyOnceExecution drives a dense random workload through

@@ -228,10 +228,7 @@ func (n *Node) suspectPeer(peer overlay.NodeID, ph *peerHealth) {
 	// A suspect is no directed-probe candidate: evict its digest now
 	// (tombstone-free, so a refutation's next gossip re-admits it).
 	n.dirEvict(peer, directory.EvictSuspect)
-	n.emitSpan(TraceEvent{Kind: SpanSuspect, Peer: peer})
-	if n.mobs != nil {
-		n.mobs.PeerSuspected(n.env.Now(), n.id, peer)
-	}
+	n.emitSpan(Event{Kind: SpanSuspect, Peer: peer})
 	if ph.deadTimer != nil {
 		ph.deadTimer()
 	}
@@ -258,9 +255,7 @@ func (n *Node) refutePeer(peer overlay.NodeID) {
 			ph.deadTimer()
 			ph.deadTimer = nil
 		}
-		if n.mobs != nil {
-			n.mobs.PeerRefuted(n.env.Now(), n.id, peer)
-		}
+		n.emit(Event{Kind: KindRefuted, Peer: peer})
 	}
 }
 
@@ -286,10 +281,7 @@ func (n *Node) confirmDead(peer overlay.NodeID) {
 	// The dead verdict is terminal: tombstone the directory entry so only
 	// a strictly greater incarnation (a restarted instance) is re-learned.
 	n.dirInvalidate(peer)
-	n.emitSpan(TraceEvent{Kind: SpanPeerDead, Peer: peer})
-	if n.mobs != nil {
-		n.mobs.PeerDead(n.env.Now(), n.id, peer)
-	}
+	n.emitSpan(Event{Kind: SpanPeerDead, Peer: peer})
 	if n.menv != nil {
 		n.menv.PruneLink(peer)
 		n.repairDegree(peer)
@@ -348,13 +340,10 @@ func (n *Node) repairDegree(dead overlay.NodeID) {
 		if !n.menv.Reconnect(cand, n.cfg.MaxDegree) {
 			continue
 		}
-		n.emitSpan(TraceEvent{
+		n.emitSpan(Event{
 			Kind: SpanRepair, Peer: cand, Origin: dead,
 			Fanout: len(n.env.Neighbors()),
 		})
-		if n.mobs != nil {
-			n.mobs.LinkRepaired(n.env.Now(), n.id, dead, cand)
-		}
 		return
 	}
 }

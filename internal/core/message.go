@@ -127,6 +127,10 @@ const (
 	ConflictLost
 )
 
+// ConflictTimeout is the conflict reason of a commit whose provider never
+// answered; no CONFLICT message carries it, so it has no ConflictKind.
+const ConflictTimeout = "timeout"
+
 // String names the conflict kind for traces and reports.
 func (k ConflictKind) String() string {
 	switch k {

@@ -26,22 +26,15 @@ const seenTTL = 5 * time.Minute
 //
 // All state is guarded by one mutex; the engine never blocks and spawns no
 // goroutines, so it runs identically under the deterministic simulator and
-// under concurrent live transports. Observer callbacks and Env calls are
-// made while the lock is held and must not call back into the node.
+// under concurrent live transports. Observer and Env calls are made while
+// the lock is held and must not call back into the node.
 type Node struct {
 	id      overlay.NodeID
 	profile resource.Profile
 	env     Env
 	cfg     Config
 	obs     Observer
-	dobs    DeliveryObserver    // obs's optional delivery extension, nil otherwise
-	tobs    TraceObserver       // obs's optional trace extension, nil otherwise
-	mobs    MembershipObserver  // obs's optional membership extension, nil otherwise
-	robs    RecoveryObserver    // obs's optional recovery extension, nil otherwise
-	dirObs  DirectoryObserver   // obs's optional directory extension, nil otherwise
-	oobs    OverloadObserver    // obs's optional overload extension, nil otherwise
-	ssObs   SharedStateObserver // obs's optional shared-state extension, nil otherwise
-	menv    MembershipEnv       // env's optional overlay-surgery extension, nil otherwise
+	menv    MembershipEnv // env's optional overlay-surgery extension, nil otherwise
 	art     job.ARTModel
 
 	// journal is the optional write-ahead log of scheduler state
@@ -125,10 +118,9 @@ type Node struct {
 	commits         map[job.UUID]*pendingCommit
 	lastCommitGrant time.Duration
 
-	// Trace plane bookkeeping (only maintained with a TraceObserver):
-	// the span under which each queued job was enqueued, and the span of
-	// the running job, so starts, completions, and crash losses parent
-	// correctly in the causal tree.
+	// Trace plane bookkeeping: the span under which each queued job was
+	// enqueued, and the span of the running job, so starts, completions,
+	// and crash losses parent correctly in the causal tree.
 	enqSpans    map[job.UUID]uint64
 	runningSpan uint64
 
@@ -242,8 +234,8 @@ type trackedJob struct {
 }
 
 // NewNode constructs a protocol node with the given identity, resources,
-// local scheduling policy, and environment binding. A nil observer is
-// replaced with NopObserver. The node is inert until Start is called.
+// local scheduling policy, and environment binding. A nil observer ignores
+// the event stream. The node is inert until Start is called.
 func NewNode(
 	id overlay.NodeID,
 	profile resource.Profile,
@@ -270,15 +262,8 @@ func NewNode(
 		return nil, fmt.Errorf("node %v scheduler: %w", id, err)
 	}
 	if obs == nil {
-		obs = NopObserver{}
+		obs = Observers(nil)
 	}
-	dobs, _ := obs.(DeliveryObserver)
-	tobs, _ := obs.(TraceObserver)
-	mobs, _ := obs.(MembershipObserver)
-	robs, _ := obs.(RecoveryObserver)
-	dirObs, _ := obs.(DirectoryObserver)
-	oobs, _ := obs.(OverloadObserver)
-	ssObs, _ := obs.(SharedStateObserver)
 	menv, _ := env.(MembershipEnv)
 	n := &Node{
 		id:         id,
@@ -286,13 +271,6 @@ func NewNode(
 		env:        env,
 		cfg:        cfg,
 		obs:        obs,
-		dobs:       dobs,
-		tobs:       tobs,
-		mobs:       mobs,
-		robs:       robs,
-		dirObs:     dirObs,
-		oobs:       oobs,
-		ssObs:      ssObs,
 		menv:       menv,
 		art:        art,
 		alive:      true,
@@ -317,10 +295,8 @@ func NewNode(
 		// its cluster view on the same substrate even with directed
 		// discovery off.
 		n.dir = directory.New(cfg.DirectoryCapacity, cfg.DirectoryTTL)
-		if dirObs != nil {
-			n.dir.OnEvict = func(subject overlay.NodeID, reason string) {
-				n.dirObs.DirectoryEvicted(n.env.Now(), n.id, subject, reason)
-			}
+		n.dir.OnEvict = func(subject overlay.NodeID, reason string) {
+			n.emit(Event{Kind: KindDirectoryEvicted, Peer: subject, Reason: reason})
 		}
 	}
 	if cfg.SharedState() {
@@ -399,7 +375,7 @@ func (n *Node) Kill() {
 		if p.timer != nil {
 			p.timer()
 		}
-		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: uuid, Parent: p.span})
+		n.emitSpan(Event{Kind: SpanLost, UUID: uuid, Parent: p.span})
 	}
 	// Open optimistic-commit rounds die with their initiator too.
 	commitUUIDs := make([]job.UUID, 0, len(n.commits))
@@ -412,7 +388,7 @@ func (n *Node) Kill() {
 		if pc.timer != nil {
 			pc.timer()
 		}
-		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: uuid, Parent: pc.span, Peer: pc.target})
+		n.emitSpan(Event{Kind: SpanLost, UUID: uuid, Parent: pc.span, Peer: pc.target})
 	}
 	for _, t := range n.tracked {
 		if t.watchdog != nil {
@@ -425,11 +401,11 @@ func (n *Node) Kill() {
 		}
 		// The crash abandons the handshake: without this event the
 		// assignment span would dangle with no observable consequence.
-		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: oa.profile.UUID, Parent: oa.span, Peer: oa.to})
+		n.emitSpan(Event{Kind: SpanLost, UUID: oa.profile.UUID, Parent: oa.span, Peer: oa.to})
 	}
 	n.cancelMembershipTimers()
 	if n.running != nil {
-		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: n.running.UUID, Parent: n.runningSpan})
+		n.emitSpan(Event{Kind: SpanLost, UUID: n.running.UUID, Parent: n.runningSpan})
 	}
 	n.running = nil
 	n.runningSpan = 0
@@ -443,7 +419,7 @@ func (n *Node) Kill() {
 		if h.timer != nil {
 			h.timer()
 		}
-		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: uuid, Parent: h.span})
+		n.emitSpan(Event{Kind: SpanLost, UUID: uuid, Parent: h.span})
 	}
 	n.pending = make(map[job.UUID]*pendingJob)
 	if n.commits != nil {
@@ -456,7 +432,7 @@ func (n *Node) Kill() {
 	// A crash loses the local queue; the initiators' failsafe watchdogs
 	// (when armed) are what recovers these jobs.
 	for _, j := range n.queue.Jobs() {
-		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: j.UUID, Parent: n.enqSpans[j.UUID]})
+		n.emitSpan(Event{Kind: SpanLost, UUID: j.UUID, Parent: n.enqSpans[j.UUID]})
 		n.queue.Remove(j.UUID)
 	}
 	n.initiators = make(map[job.UUID]overlay.NodeID)
@@ -547,13 +523,10 @@ func (n *Node) Submit(p job.Profile) error {
 	// portal or push back on the client. Open commit rounds count — they
 	// are discoveries in flight like any other.
 	if inflight := len(n.pending) + len(n.commits); n.cfg.MaxPendingSubmits > 0 && inflight >= n.cfg.MaxPendingSubmits {
-		if n.oobs != nil {
-			n.oobs.SubmitRejected(n.env.Now(), n.id, p.UUID, inflight)
-		}
+		n.emit(Event{Kind: KindSubmitRejected, UUID: p.UUID, Count: inflight})
 		return fmt.Errorf("submit: node %v: %w", n.id, ErrOverloaded)
 	}
-	n.obs.JobSubmitted(n.env.Now(), n.id, p)
-	root := n.emitSpan(TraceEvent{Kind: SpanSubmit, UUID: p.UUID})
+	root := n.emitSpan(Event{Kind: SpanSubmit, UUID: p.UUID})
 	n.startDiscovery(p, 0, root)
 	return nil
 }
@@ -591,15 +564,11 @@ func (n *Node) startFlood(p job.Profile, retries int, parent uint64) {
 	ttl := n.cfg.RequestTTL
 	if retries > 0 && n.cfg.ReFloodTTLStep > 0 {
 		ttl += retries * n.cfg.ReFloodTTLStep
-		if n.mobs != nil {
-			n.mobs.FloodEscalated(n.env.Now(), n.id, p.UUID, retries, ttl)
-		}
+		n.emit(Event{Kind: KindFloodEscalated, UUID: p.UUID, Attempt: retries, TTL: ttl})
 	}
 	// The span rides the wire before the fan-out is known, so allocate it
 	// up front and emit the origin event after sending.
-	if n.tobs != nil {
-		pend.span = n.nextSpanID()
-	}
+	pend.span = n.nextSpanID()
 	msg := Message{
 		Type:   MsgRequest,
 		From:   n.id,
@@ -614,7 +583,7 @@ func (n *Node) startFlood(p job.Profile, retries int, parent uint64) {
 	}
 	n.markSeen(msg.floodFP())
 	sent := n.forward(msg, n.cfg.RequestFanout)
-	n.emitSpan(TraceEvent{
+	n.emitSpan(Event{
 		Kind: SpanFloodOrigin, UUID: p.UUID, Span: pend.span, Parent: parent,
 		Msg: MsgRequest, Hop: 0, TTL: ttl, Fanout: sent,
 		Seq: msg.Seq, Origin: n.id, Attempt: retries,
@@ -691,16 +660,14 @@ func (n *Node) decide(uuid job.UUID) {
 			})
 			return
 		}
-		n.emitSpan(TraceEvent{Kind: SpanFail, UUID: uuid, Parent: pend.span, Attempt: pend.retries})
-		n.obs.JobFailed(n.env.Now(), n.id, uuid, "no candidate found")
+		n.emitSpan(Event{Kind: SpanFail, UUID: uuid, Parent: pend.span, Attempt: pend.retries, Reason: "no candidate found"})
 		return
 	}
 	if n.cfg.MultiAssign > 1 {
 		n.multiAssign(pend)
 		return
 	}
-	n.obs.JobAssigned(n.env.Now(), uuid, n.id, best, bestCost, false)
-	aspan := n.emitSpan(TraceEvent{
+	aspan := n.emitSpan(Event{
 		Kind: SpanAssign, UUID: uuid, Parent: pend.span,
 		Peer: best, Cost: bestCost,
 	})
@@ -767,11 +734,8 @@ func (n *Node) assignRetryFire(uuid job.UUID) {
 		return
 	}
 	oa.attempts++
-	if n.dobs != nil {
-		n.dobs.AssignRetried(n.env.Now(), n.id, uuid, oa.attempts)
-	}
 	n.jlog(wal.Record{Type: wal.RecAssignSent, UUID: uuid, Profile: &oa.profile, Peer: oa.to, Init: oa.initiator, Reschedule: oa.reschedule, Attempts: oa.attempts, Span: oa.span})
-	n.emitSpan(TraceEvent{Kind: SpanRetry, UUID: uuid, Parent: oa.span, Peer: oa.to, Attempt: oa.attempts})
+	n.emitSpan(Event{Kind: SpanRetry, UUID: uuid, Parent: oa.span, Peer: oa.to, Attempt: oa.attempts})
 	n.env.Send(oa.to, Message{Type: MsgAssign, From: oa.initiator, Job: oa.profile, Via: n.id, Span: oa.span})
 	n.armAssignRetry(oa)
 }
@@ -790,20 +754,16 @@ func (n *Node) assignFallback(oa *outAssign) {
 		if n.running != nil && n.running.UUID == uuid {
 			return
 		}
-		fb := n.emitSpan(TraceEvent{Kind: SpanFallback, UUID: uuid, Parent: oa.span, Peer: oa.to})
+		fb := n.emitSpan(Event{Kind: SpanFallback, UUID: uuid, Parent: oa.span, Peer: oa.to})
 		n.enqueueLocal(oa.profile, oa.initiator, fb)
-		if n.dobs != nil {
-			n.dobs.AssignRecovered(n.env.Now(), n.id, uuid)
-		}
+		n.emit(Event{Kind: KindAssignRecovered, UUID: uuid})
 		return
 	}
 	if n.discoveryOpen(uuid) {
 		return
 	}
-	if n.dobs != nil {
-		n.dobs.AssignRecovered(n.env.Now(), n.id, uuid)
-	}
-	fb := n.emitSpan(TraceEvent{Kind: SpanFallback, UUID: uuid, Parent: oa.span, Peer: oa.to})
+	n.emit(Event{Kind: KindAssignRecovered, UUID: uuid})
+	fb := n.emitSpan(Event{Kind: SpanFallback, UUID: uuid, Parent: oa.span, Peer: oa.to})
 	n.startDiscovery(oa.profile, 0, fb)
 }
 
@@ -836,14 +796,11 @@ func (n *Node) multiAssign(pend *pendingJob) {
 	selfCopy := false
 	var selfSpan uint64
 	for i, o := range targets {
-		// Only the first (cheapest) assignment is reported as the
-		// job's placement; the rest are protocol overhead.
-		if i == 0 {
-			n.obs.JobAssigned(n.env.Now(), uuid, n.id, o.node, o.cost, false)
-		}
-		cspan := n.emitSpan(TraceEvent{
+		// Only the first (cheapest) assignment is the job's placement; the
+		// rest are protocol overhead.
+		cspan := n.emitSpan(Event{
 			Kind: SpanAssign, UUID: uuid, Parent: pend.span,
-			Peer: o.node, Cost: o.cost,
+			Peer: o.node, Cost: o.cost, Copy: i > 0,
 		})
 		if o.node == n.id {
 			// Deferred below: a local copy can start (and trigger
@@ -872,7 +829,7 @@ func (n *Node) cancelCopies(uuid job.UUID, p job.Profile, winner overlay.NodeID,
 		if a == winner {
 			continue
 		}
-		cspan := n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: uuid, Parent: parent, Peer: a})
+		cspan := n.emitSpan(Event{Kind: SpanCancel, UUID: uuid, Parent: parent, Peer: a})
 		if a == n.id {
 			// Local copy: drop it from our own queue.
 			if n.queue.Remove(uuid) {
@@ -962,8 +919,7 @@ func (n *Node) watchdogFire(uuid job.UUID) {
 	if t.resub >= n.cfg.MaxRequestRetries {
 		delete(n.tracked, uuid)
 		n.jlog(wal.Record{Type: wal.RecTrackDone, UUID: uuid})
-		n.emitSpan(TraceEvent{Kind: SpanFail, UUID: uuid, Attempt: t.resub})
-		n.obs.JobFailed(n.env.Now(), n.id, uuid, "lost after resubmission limit")
+		n.emitSpan(Event{Kind: SpanFail, UUID: uuid, Attempt: t.resub, Reason: "lost after resubmission limit"})
 		return
 	}
 	_, handshakeOpen := n.outAssigns[uuid]
@@ -986,7 +942,7 @@ func (n *Node) watchdogFire(uuid job.UUID) {
 	t.watchdog = nil
 	n.jlog(wal.Record{Type: wal.RecWatchdog, UUID: uuid, Profile: &t.profile, Peer: t.assignee, Resub: t.resub, Expect: t.expect, Span: t.span})
 	if !n.discoveryOpen(uuid) {
-		rs := n.emitSpan(TraceEvent{Kind: SpanResubmit, UUID: uuid, Peer: t.assignee, Attempt: t.resub})
+		rs := n.emitSpan(Event{Kind: SpanResubmit, UUID: uuid, Peer: t.assignee, Attempt: t.resub})
 		n.startDiscovery(t.profile, 0, rs)
 	}
 }
@@ -1043,8 +999,8 @@ func (n *Node) handleAssignAck(m Message) {
 	}
 	delete(n.outAssigns, m.Job.UUID)
 	n.jlog(wal.Record{Type: wal.RecAssignClosed, UUID: m.Job.UUID})
-	if oa.attempts > 0 && n.dobs != nil {
-		n.dobs.AssignRecovered(n.env.Now(), n.id, m.Job.UUID)
+	if oa.attempts > 0 {
+		n.emit(Event{Kind: KindAssignRecovered, UUID: m.Job.UUID})
 	}
 }
 
@@ -1064,7 +1020,7 @@ func (n *Node) handleCancel(m Message) {
 func (n *Node) dropLocalCopy(uuid job.UUID, parent uint64, peer overlay.NodeID) bool {
 	if n.queue.Remove(uuid) {
 		delete(n.initiators, uuid)
-		n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: uuid, Parent: parent, Peer: peer})
+		n.emitSpan(Event{Kind: SpanCancel, UUID: uuid, Parent: parent, Peer: peer})
 		delete(n.enqSpans, uuid)
 		n.jlog(wal.Record{Type: wal.RecDequeue, UUID: uuid})
 		return true
@@ -1078,7 +1034,7 @@ func (n *Node) dropLocalCopy(uuid job.UUID, parent uint64, peer overlay.NodeID) 
 			n.runningTimer()
 			n.runningTimer = nil
 		}
-		n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: uuid, Parent: parent, Peer: peer})
+		n.emitSpan(Event{Kind: SpanCancel, UUID: uuid, Parent: parent, Peer: peer})
 		n.jlog(wal.Record{Type: wal.RecDequeue, UUID: uuid})
 		n.running = nil
 		n.runningSpan = 0
@@ -1095,7 +1051,7 @@ func (n *Node) handleRequest(m Message) {
 	if n.isDuplicate(m) {
 		// A suppressed duplicate is bookkeeping, never a forward: it must
 		// not inflate the wave's forward count (redundancy accounting).
-		n.emitSpan(TraceEvent{
+		n.emitSpan(Event{
 			Kind: SpanDuplicate, UUID: m.Job.UUID, Parent: m.Span,
 			Msg: m.Type, Hop: m.Hop, TTL: m.TTL, Seq: m.Seq,
 			Origin: m.From, Peer: m.Via,
@@ -1110,10 +1066,7 @@ func (n *Node) handleRequest(m Message) {
 			// not to count on this node (and to demote it in its directory)
 			// while the flood still relays toward unsaturated candidates.
 			depth := n.loadDepth()
-			if n.oobs != nil {
-				n.oobs.RequestShed(n.env.Now(), n.id, m.Job.UUID, depth)
-			}
-			bspan := n.emitSpan(TraceEvent{
+			bspan := n.emitSpan(Event{
 				Kind: SpanBusy, UUID: m.Job.UUID, Parent: m.Span,
 				Msg: MsgRequest, Peer: m.From, Fanout: depth,
 			})
@@ -1122,7 +1075,7 @@ func (n *Node) handleRequest(m Message) {
 			return
 		}
 		if cost, ok := n.selfOffer(m.Job); ok {
-			ospan := n.emitSpan(TraceEvent{
+			ospan := n.emitSpan(Event{
 				Kind: SpanOffer, UUID: m.Job.UUID, Parent: m.Span,
 				Msg: m.Type, Hop: m.Hop, TTL: m.TTL, Seq: m.Seq,
 				Origin: m.From, Peer: m.From, Cost: cost,
@@ -1143,7 +1096,7 @@ func (n *Node) handleInform(m Message) {
 		return // own advertisement looped back
 	}
 	if n.isDuplicate(m) {
-		n.emitSpan(TraceEvent{
+		n.emitSpan(Event{
 			Kind: SpanDuplicate, UUID: m.Job.UUID, Parent: m.Span,
 			Msg: m.Type, Hop: m.Hop, TTL: m.TTL, Seq: m.Seq,
 			Origin: m.From, Peer: m.Via,
@@ -1164,7 +1117,7 @@ func (n *Node) handleInform(m Message) {
 	// Strict: §III-D reschedules only when the improvement exceeds the
 	// threshold; an improvement of exactly the threshold stays put.
 	if cost < m.Cost-threshold {
-		ospan := n.emitSpan(TraceEvent{
+		ospan := n.emitSpan(Event{
 			Kind: SpanOffer, UUID: m.Job.UUID, Parent: m.Span,
 			Msg: m.Type, Hop: m.Hop, TTL: m.TTL, Seq: m.Seq,
 			Origin: m.From, Peer: m.From, Cost: cost,
@@ -1190,7 +1143,7 @@ func (n *Node) handleAccept(m Message) {
 	}
 	uuid := m.Job.UUID
 	if pend, ok := n.pending[uuid]; ok {
-		n.emitSpan(TraceEvent{
+		n.emitSpan(Event{
 			Kind: SpanOfferRecv, UUID: uuid, Parent: m.Span,
 			Peer: m.From, Cost: m.Cost,
 		})
@@ -1235,8 +1188,7 @@ func (n *Node) handleRescheduleOffer(m Message) {
 	delete(n.initiators, uuid)
 	delete(n.enqSpans, uuid)
 	n.jlog(wal.Record{Type: wal.RecDequeue, UUID: uuid})
-	n.obs.JobAssigned(n.env.Now(), uuid, n.id, m.From, m.Cost, true)
-	rspan := n.emitSpan(TraceEvent{
+	rspan := n.emitSpan(Event{
 		Kind: SpanReschedule, UUID: uuid, Parent: m.Span,
 		Peer: m.From, Cost: m.Cost, OldCost: current,
 	})
@@ -1265,7 +1217,7 @@ func (n *Node) handleAssign(m Message) {
 		if n.cfg.AssignAck {
 			n.env.Send(m.Via, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
 		}
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From, Msg: MsgAssign})
+		n.emitSpan(Event{Kind: SpanDuplicate, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From, Msg: MsgAssign})
 		n.env.Send(pn.initiator, Message{Type: MsgNotify, From: n.id, Job: pn.profile, Notify: NotifyCompleted, Span: pn.span})
 		return
 	}
@@ -1275,7 +1227,7 @@ func (n *Node) handleAssign(m Message) {
 		if n.cfg.AssignAck {
 			n.env.Send(m.Via, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
 		}
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From, Msg: MsgAssign})
+		n.emitSpan(Event{Kind: SpanDuplicate, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From, Msg: MsgAssign})
 		n.releaseHeld(m.Job.UUID)
 		return
 	}
@@ -1288,7 +1240,7 @@ func (n *Node) handleAssign(m Message) {
 		if n.cfg.AssignAck {
 			n.env.Send(m.Via, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
 		}
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From, Msg: MsgAssign})
+		n.emitSpan(Event{Kind: SpanDuplicate, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From, Msg: MsgAssign})
 		return
 	}
 	// A saturated provider refuses the job instead of queueing unbounded
@@ -1313,11 +1265,11 @@ func (n *Node) enqueueLocal(p job.Profile, initiator overlay.NodeID, parent uint
 	j := job.New(p)
 	n.initiators[p.UUID] = initiator
 	n.queue.Enqueue(j, n.env.Now())
-	espan := n.emitSpan(TraceEvent{Kind: SpanEnqueue, UUID: p.UUID, Parent: parent, Peer: initiator})
-	if n.tobs != nil {
-		n.enqSpans[p.UUID] = espan
-	}
+	// Write-ahead: journal the enqueue before announcing it.
+	espan := n.nextSpanID()
+	n.enqSpans[p.UUID] = espan
 	n.jlog(wal.Record{Type: wal.RecEnqueue, UUID: p.UUID, Profile: &p, Peer: initiator, Span: espan})
+	n.emitSpan(Event{Kind: SpanEnqueue, UUID: p.UUID, Span: espan, Parent: parent, Peer: initiator})
 	if n.cfg.NotifyInitiator && initiator != n.id {
 		n.env.Send(initiator, Message{Type: MsgNotify, From: n.id, Job: p, Notify: NotifyQueued, Span: espan})
 	}
@@ -1392,7 +1344,7 @@ func (n *Node) handleNotify(m Message) {
 			} else if n.redundantCopy(m.Job.UUID, m.From) {
 				// The replacement copy is already live elsewhere: revoke
 				// this stale one before it runs.
-				cspan := n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From})
+				cspan := n.emitSpan(Event{Kind: SpanCancel, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From})
 				n.env.Send(m.From, Message{Type: MsgCancel, From: n.id, Job: m.Job, Span: cspan})
 				return
 			}
@@ -1419,7 +1371,7 @@ func (n *Node) handleNotify(m Message) {
 			delete(n.pending, m.Job.UUID)
 		}
 		if t.resub > 0 && t.assignee != 0 && t.assignee != n.id && t.assignee != m.From {
-			cspan := n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: m.Job.UUID, Parent: m.Span, Peer: t.assignee})
+			cspan := n.emitSpan(Event{Kind: SpanCancel, UUID: m.Job.UUID, Parent: m.Span, Peer: t.assignee})
 			n.env.Send(t.assignee, Message{Type: MsgCancel, From: n.id, Job: m.Job, Span: cspan})
 		}
 	}
@@ -1544,7 +1496,7 @@ func (n *Node) handleResurfaced(m Message) {
 		// with a CANCEL.
 		n.closeCommitOnComplete(uuid)
 	} else if !tracked || n.redundantCopy(uuid, m.From) {
-		cspan := n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: uuid, Parent: m.Span, Peer: m.From})
+		cspan := n.emitSpan(Event{Kind: SpanCancel, UUID: uuid, Parent: m.Span, Peer: m.From})
 		n.env.Send(m.From, Message{Type: MsgCancel, From: n.id, Job: m.Job, Span: cspan})
 		return
 	}
@@ -1573,9 +1525,7 @@ func (n *Node) releaseHeld(uuid job.UUID) {
 	delete(n.held, uuid)
 	n.initiators[uuid] = h.initiator
 	n.queue.Enqueue(job.New(h.profile), n.env.Now())
-	if n.tobs != nil {
-		n.enqSpans[uuid] = h.span
-	}
+	n.enqSpans[uuid] = h.span
 	n.maybeStart()
 }
 
@@ -1591,7 +1541,7 @@ func (n *Node) dropHeld(uuid job.UUID, parent uint64, peer overlay.NodeID) bool 
 		h.timer()
 	}
 	delete(n.held, uuid)
-	n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: uuid, Parent: parent, Peer: peer})
+	n.emitSpan(Event{Kind: SpanCancel, UUID: uuid, Parent: parent, Peer: peer})
 	n.jlog(wal.Record{Type: wal.RecDequeue, UUID: uuid})
 	return true
 }
@@ -1660,14 +1610,14 @@ func (n *Node) maybeStart() {
 	n.runningInitiator = initiator
 	ertp := j.ERTOn(n.profile.PerfIndex)
 	n.runningEstEnd = now + ertp
-	sspan := n.emitSpan(TraceEvent{Kind: SpanStart, UUID: j.UUID, Parent: n.enqSpans[j.UUID]})
-	delete(n.enqSpans, j.UUID)
-	n.runningSpan = sspan
 	// Write-ahead: journal the start before announcing it. If the append
 	// fails and the journal's owner dies loudly, no observer saw a start
 	// the log cannot prove.
+	sspan := n.nextSpanID()
 	n.jlog(wal.Record{Type: wal.RecStart, UUID: j.UUID, Profile: &j.Profile, Peer: initiator, Span: sspan})
-	n.obs.JobStarted(now, n.id, j.UUID)
+	n.emitSpan(Event{Kind: SpanStart, UUID: j.UUID, Span: sspan, Parent: n.enqSpans[j.UUID]})
+	delete(n.enqSpans, j.UUID)
+	n.runningSpan = sspan
 	if n.cfg.MultiAssign > 1 {
 		if initiator == n.id {
 			// This node is the initiator and its own copy won.
@@ -1699,7 +1649,7 @@ func (n *Node) completeRunning() {
 	j.CompletedAt = now
 	n.running = nil
 	n.runningTimer = nil
-	cspan := n.emitSpan(TraceEvent{Kind: SpanComplete, UUID: j.UUID, Parent: n.runningSpan})
+	cspan, parent := n.nextSpanID(), n.runningSpan
 	n.runningSpan = 0
 	// Write-ahead: journal the completion before emitting the observable
 	// event. A crash between the two replays the job from scratch — a rerun,
@@ -1714,7 +1664,7 @@ func (n *Node) completeRunning() {
 		// the initiator's watchdog would rerun an already-reported job.
 		n.jlog(wal.Record{Type: wal.RecNotifySent, UUID: j.UUID, Profile: &j.Profile, Peer: initiator, Span: cspan})
 	}
-	n.obs.JobCompleted(now, n.id, j)
+	n.emitSpan(Event{Kind: SpanComplete, UUID: j.UUID, Span: cspan, Parent: parent, Job: j})
 	// Any ASSIGN handshake still open for this job (a resubmission that
 	// self-assigned while the original ASSIGN awaits its ack) closes now.
 	n.closeAssignOnComplete(j.UUID)
@@ -1754,10 +1704,7 @@ func (n *Node) informTick() {
 		if !ok {
 			continue
 		}
-		var span uint64
-		if n.tobs != nil {
-			span = n.nextSpanID()
-		}
+		span := n.nextSpanID()
 		msg := Message{
 			Type:   MsgInform,
 			From:   n.id,
@@ -1773,7 +1720,7 @@ func (n *Node) informTick() {
 		}
 		n.markSeen(msg.floodFP())
 		sent := n.forward(msg, n.cfg.InformFanout)
-		n.emitSpan(TraceEvent{
+		n.emitSpan(Event{
 			Kind: SpanFloodOrigin, UUID: cand.UUID, Span: span,
 			Parent: n.enqSpans[cand.UUID], Msg: MsgInform,
 			Hop: 0, TTL: n.cfg.InformTTL, Fanout: sent,
@@ -1798,12 +1745,10 @@ func (n *Node) forwardFlood(m Message) {
 	next.Hop++
 	prev := m.Via
 	next.Via = n.id
-	if n.tobs != nil {
-		next.Span = n.nextSpanID()
-	}
+	next.Span = n.nextSpanID()
 	sent := n.forwardExcluding(next, m.Fanout, prev)
 	if sent > 0 {
-		n.emitSpan(TraceEvent{
+		n.emitSpan(Event{
 			Kind: SpanForward, UUID: m.Job.UUID, Span: next.Span, Parent: m.Span,
 			Msg: m.Type, Hop: m.Hop, TTL: m.TTL, Fanout: sent,
 			Seq: m.Seq, Origin: m.From, Peer: m.Via,
@@ -1920,19 +1865,22 @@ func (n *Node) nextSpanID() uint64 {
 	return uint64(uint32(n.id))<<32 | (n.spanSeq & 0xffffffff)
 }
 
-// emitSpan stamps and delivers one trace event, returning its span ID (zero
-// when tracing is off). A pre-assigned ev.Span is respected so flood
-// origins can put the span on the wire before the fan-out is known. Caller
-// holds the lock.
-func (n *Node) emitSpan(ev TraceEvent) uint64 {
-	if n.tobs == nil {
-		return 0
-	}
+// emitSpan delivers one span event, allocating its span ID unless one was
+// pre-assigned (flood origins put the span on the wire before the fan-out is
+// known, and write-ahead events journal it first), and returns the ID.
+// Caller holds the lock.
+func (n *Node) emitSpan(ev Event) uint64 {
 	if ev.Span == 0 {
 		ev.Span = n.nextSpanID()
 	}
+	n.emit(ev)
+	return ev.Span
+}
+
+// emit stamps and delivers one event as is: kinds without a span go out with
+// Span zero and leave the span counter alone. Caller holds the lock.
+func (n *Node) emit(ev Event) {
 	ev.At = n.env.Now()
 	ev.Node = n.id
-	n.tobs.TraceSpan(ev)
-	return ev.Span
+	n.obs.Observe(ev)
 }

@@ -6,11 +6,10 @@ import (
 	"time"
 
 	"github.com/smartgrid/aria/internal/job"
-	"github.com/smartgrid/aria/internal/overlay"
 )
 
 // overloadCounter extends the delivery counter with the overload-control
-// plane's observer callbacks.
+// plane's events.
 type overloadCounter struct {
 	*deliveryCounter
 
@@ -22,37 +21,28 @@ type overloadCounter struct {
 	submitRejects int
 }
 
-var (
-	_ Observer         = (*overloadCounter)(nil)
-	_ OverloadObserver = (*overloadCounter)(nil)
-)
+var _ Observer = (*overloadCounter)(nil)
 
 func newOverloadCounter() *overloadCounter {
 	return &overloadCounter{deliveryCounter: newDeliveryCounter()}
 }
 
-func (c *overloadCounter) RequestShed(time.Duration, overlay.NodeID, job.UUID, int) {
-	c.requestsShed++
-}
-
-func (c *overloadCounter) AssignShed(time.Duration, overlay.NodeID, job.UUID, int) {
-	c.assignsShed++
-}
-
-func (c *overloadCounter) ShedRedispatched(_ time.Duration, _ overlay.NodeID, _ job.UUID, reflooded bool) {
-	if reflooded {
-		c.reflooded++
-	} else {
+func (c *overloadCounter) Observe(ev Event) {
+	c.deliveryCounter.Observe(ev)
+	switch {
+	case ev.Kind == SpanBusy && ev.Msg == MsgRequest:
+		c.requestsShed++
+	case ev.Kind == SpanBusy:
+		c.assignsShed++
+	case ev.Kind == SpanShed && ev.Requeued:
 		c.reenqueued++
+	case ev.Kind == SpanShed:
+		c.reflooded++
+	case ev.Kind == KindPeerBusy:
+		c.peersBusy++
+	case ev.Kind == KindSubmitRejected:
+		c.submitRejects++
 	}
-}
-
-func (c *overloadCounter) PeerBusy(time.Duration, overlay.NodeID, overlay.NodeID) {
-	c.peersBusy++
-}
-
-func (c *overloadCounter) SubmitRejected(time.Duration, overlay.NodeID, job.UUID, int) {
-	c.submitRejects++
 }
 
 // sheddingConfig arms the bounded run queue at depth 1 (one running job

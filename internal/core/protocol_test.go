@@ -40,38 +40,27 @@ func newRecorder() *recorder {
 	}
 }
 
-func (r *recorder) JobSubmitted(at time.Duration, _ overlay.NodeID, p job.Profile) {
+func (r *recorder) Observe(ev core.Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.submitted[p.UUID] = at
-}
-
-func (r *recorder) JobAssigned(_ time.Duration, uuid job.UUID, _, to overlay.NodeID, _ sched.Cost, resched bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.assigned[uuid] = append(r.assigned[uuid], to)
-	if resched {
+	switch ev.Kind {
+	case core.SpanSubmit:
+		r.submitted[ev.UUID] = ev.At
+	case core.SpanAssign, core.KindCommitGranted:
+		if !ev.Copy {
+			r.assigned[ev.UUID] = append(r.assigned[ev.UUID], ev.Peer)
+		}
+	case core.SpanReschedule:
+		r.assigned[ev.UUID] = append(r.assigned[ev.UUID], ev.Peer)
 		r.reschedules++
+	case core.SpanStart:
+		r.started[ev.UUID] = ev.Node
+	case core.SpanComplete:
+		r.completed[ev.UUID] = ev.Job
+		r.completedOn[ev.UUID] = ev.Node
+	case core.SpanFail:
+		r.failed[ev.UUID] = ev.Reason
 	}
-}
-
-func (r *recorder) JobStarted(_ time.Duration, node overlay.NodeID, uuid job.UUID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.started[uuid] = node
-}
-
-func (r *recorder) JobCompleted(_ time.Duration, node overlay.NodeID, j *job.Job) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.completed[j.UUID] = j
-	r.completedOn[j.UUID] = node
-}
-
-func (r *recorder) JobFailed(_ time.Duration, _ overlay.NodeID, uuid job.UUID, reason string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.failed[uuid] = reason
 }
 
 // fixture assembles a fully connected cluster of nodes with chosen profiles.

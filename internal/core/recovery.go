@@ -120,7 +120,7 @@ func (n *Node) Recover() (RecoveryStats, error) {
 		n.spanSeq = state.SpanSeq + recoverSpanSlack
 	}
 
-	n.emitSpan(TraceEvent{Kind: SpanRestart, Fanout: stats.JobsRecovered})
+	n.emitSpan(Event{Kind: SpanRestart, Fanout: stats.JobsRecovered, Count: stats.ReplayRecords, Age: stats.SnapshotAge})
 
 	// An interrupted execution never completed: the job re-enters the
 	// queue behind the journaled queued jobs and runs again from scratch.
@@ -145,7 +145,7 @@ func (n *Node) Recover() (RecoveryStats, error) {
 		if initiator == 0 {
 			initiator = n.id
 		}
-		rspan := n.emitSpan(TraceEvent{Kind: SpanRecovered, UUID: uuid, Parent: q.Span, Msg: MsgAssign, Peer: initiator})
+		rspan := n.emitSpan(Event{Kind: SpanRecovered, UUID: uuid, Parent: q.Span, Msg: MsgAssign, Peer: initiator})
 		n.jlog(wal.Record{Type: wal.RecEnqueue, UUID: uuid, Profile: &q.Profile, Peer: initiator, Span: rspan})
 		if n.cfg.NotifyInitiator && initiator != n.id {
 			// A remote-initiator copy is fenced until the initiator
@@ -163,9 +163,7 @@ func (n *Node) Recover() (RecoveryStats, error) {
 		}
 		n.initiators[uuid] = initiator
 		n.queue.Enqueue(job.New(q.Profile), now)
-		if n.tobs != nil {
-			n.enqSpans[uuid] = rspan
-		}
+		n.enqSpans[uuid] = rspan
 		announces = append(announces, announce{uuid: uuid, span: rspan})
 	}
 
@@ -175,7 +173,7 @@ func (n *Node) Recover() (RecoveryStats, error) {
 	// rather than duplicating live work.
 	for _, tr := range state.Tracked {
 		uuid := tr.Profile.UUID
-		rspan := n.emitSpan(TraceEvent{Kind: SpanRecovered, UUID: uuid, Parent: tr.Span, Msg: MsgNotify, Peer: tr.Assignee, Attempt: tr.Resub})
+		rspan := n.emitSpan(Event{Kind: SpanRecovered, UUID: uuid, Parent: tr.Span, Msg: MsgNotify, Peer: tr.Assignee, Attempt: tr.Resub})
 		t := &trackedJob{profile: tr.Profile, assignee: tr.Assignee, resub: tr.Resub, expect: tr.Expect, span: rspan}
 		n.tracked[uuid] = t
 		n.jlog(wal.Record{Type: wal.RecWatchdog, UUID: uuid, Profile: &tr.Profile, Peer: tr.Assignee, Resub: tr.Resub, Expect: tr.Expect, Span: rspan})
@@ -187,7 +185,7 @@ func (n *Node) Recover() (RecoveryStats, error) {
 	// ASSIGNs it already queued.
 	for _, oaState := range state.OutAssigns {
 		uuid := oaState.Profile.UUID
-		rspan := n.emitSpan(TraceEvent{Kind: SpanRecovered, UUID: uuid, Parent: oaState.Span, Msg: MsgAssignAck, Peer: oaState.To, Attempt: oaState.Attempts})
+		rspan := n.emitSpan(Event{Kind: SpanRecovered, UUID: uuid, Parent: oaState.Span, Msg: MsgAssignAck, Peer: oaState.To, Attempt: oaState.Attempts})
 		oa := &outAssign{
 			profile:    oaState.Profile,
 			to:         oaState.To,
@@ -208,16 +206,12 @@ func (n *Node) Recover() (RecoveryStats, error) {
 	// watchdog to rerun a job this node already completed and reported.
 	for _, pnState := range state.PendingNotify {
 		uuid := pnState.Profile.UUID
-		rspan := n.emitSpan(TraceEvent{Kind: SpanRecovered, UUID: uuid, Parent: pnState.Span, Msg: MsgNotify, Peer: pnState.Initiator})
+		rspan := n.emitSpan(Event{Kind: SpanRecovered, UUID: uuid, Parent: pnState.Span, Msg: MsgNotify, Peer: pnState.Initiator})
 		pn := &pendingNotify{profile: pnState.Profile, initiator: pnState.Initiator, span: rspan}
 		n.notifyOut[uuid] = pn
 		n.jlog(wal.Record{Type: wal.RecNotifySent, UUID: uuid, Profile: &pnState.Profile, Peer: pn.initiator, Span: rspan})
 		n.env.Send(pn.initiator, Message{Type: MsgNotify, From: n.id, Job: pn.profile, Notify: NotifyCompleted, Span: rspan})
 		n.armNotifyRetry(pn)
-	}
-
-	if n.robs != nil {
-		n.robs.NodeRecovered(now, n.id, stats.JobsRecovered, stats.ReplayRecords, stats.SnapshotAge)
 	}
 
 	// Compact: the recovered state becomes the new snapshot, so the
@@ -248,10 +242,7 @@ func (n *Node) announceRecovered(uuid job.UUID, parent uint64) {
 	if !ok {
 		return
 	}
-	var span uint64
-	if n.tobs != nil {
-		span = n.nextSpanID()
-	}
+	span := n.nextSpanID()
 	msg := Message{
 		Type:   MsgInform,
 		From:   n.id,
@@ -266,7 +257,7 @@ func (n *Node) announceRecovered(uuid job.UUID, parent uint64) {
 	}
 	n.markSeen(msg.floodFP())
 	sent := n.forward(msg, n.cfg.InformFanout)
-	n.emitSpan(TraceEvent{
+	n.emitSpan(Event{
 		Kind: SpanFloodOrigin, UUID: uuid, Span: span, Parent: parent,
 		Msg: MsgInform, Hop: 0, TTL: n.cfg.InformTTL, Fanout: sent,
 		Seq: msg.Seq, Origin: n.id, Cost: cost,

@@ -106,13 +106,10 @@ func (n *Node) dispatchCommit(pc *pendingCommit, d directory.Digest, parent uint
 	pc.inflight = true
 	n.view.CommitStarted(d.Node)
 	uuid := pc.profile.UUID
-	pc.span = n.emitSpan(TraceEvent{
+	pc.span = n.emitSpan(Event{
 		Kind: SpanCommit, UUID: uuid, Parent: parent,
 		Peer: d.Node, Cost: sched.Cost(d.Load), Attempt: pc.attempts,
 	})
-	if n.ssObs != nil {
-		n.ssObs.CommitSent(n.env.Now(), n.id, uuid, d.Node, pc.attempts)
-	}
 	n.env.Send(d.Node, Message{
 		Type: MsgCommit, From: n.id, Job: pc.profile,
 		Inc: d.Incarnation, Span: pc.span,
@@ -136,7 +133,7 @@ func (n *Node) handleCommit(m Message) {
 		// node) must not re-run the job. Re-grant and push the completion
 		// again, mirroring the duplicate-ASSIGN path.
 		n.env.Send(m.From, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: uuid, Parent: m.Span, Peer: m.From, Msg: MsgCommit})
+		n.emitSpan(Event{Kind: SpanDuplicate, UUID: uuid, Parent: m.Span, Peer: m.From, Msg: MsgCommit})
 		n.env.Send(pn.initiator, Message{Type: MsgNotify, From: n.id, Job: pn.profile, Notify: NotifyCompleted, Span: pn.span})
 		return
 	}
@@ -144,13 +141,13 @@ func (n *Node) handleCommit(m Message) {
 		// A re-commit for a fenced recovered copy is an implicit
 		// confirmation that the initiator still wants it here.
 		n.env.Send(m.From, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: uuid, Parent: m.Span, Peer: m.From, Msg: MsgCommit})
+		n.emitSpan(Event{Kind: SpanDuplicate, UUID: uuid, Parent: m.Span, Peer: m.From, Msg: MsgCommit})
 		n.releaseHeld(uuid)
 		return
 	}
 	if _, queued := n.queue.Get(uuid); queued || (n.running != nil && n.running.UUID == uuid) {
 		n.env.Send(m.From, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: uuid, Parent: m.Span, Peer: m.From, Msg: MsgCommit})
+		n.emitSpan(Event{Kind: SpanDuplicate, UUID: uuid, Parent: m.Span, Peer: m.From, Msg: MsgCommit})
 		return
 	}
 	now := n.env.Now()
@@ -180,7 +177,7 @@ func (n *Node) handleCommit(m Message) {
 		}
 	}
 	if kind != 0 {
-		cspan := n.emitSpan(TraceEvent{
+		cspan := n.emitSpan(Event{
 			Kind: SpanConflict, UUID: uuid, Parent: m.Span,
 			Peer: m.From, Reason: kind.String(), Fanout: n.loadDepth(),
 		})
@@ -222,7 +219,8 @@ func (n *Node) handleConflict(m Message) {
 		n.learnDigests(m)
 		n.view.ObserveBusy(m.From)
 	}
-	n.failCommit(pc, m.Conflict.String(), m.Span)
+	n.emit(Event{Kind: KindConflictRecv, UUID: m.Job.UUID, Peer: m.From, Reason: m.Conflict.String(), Attempt: pc.attempts})
+	n.failCommit(pc, m.Span)
 }
 
 // commitTimeoutFire treats a silent provider as a failed commit attempt:
@@ -242,21 +240,18 @@ func (n *Node) commitTimeoutFire(uuid job.UUID) {
 	pc.timer = nil
 	n.resolveCommitView(pc)
 	n.view.ObserveUnreachable(pc.target)
-	cspan := n.emitSpan(TraceEvent{
+	cspan := n.emitSpan(Event{
 		Kind: SpanConflict, UUID: uuid, Parent: pc.span,
-		Peer: pc.target, Reason: "timeout", Attempt: pc.attempts,
+		Peer: pc.target, Reason: ConflictTimeout, Attempt: pc.attempts,
 	})
-	n.failCommit(pc, "timeout", cspan)
+	n.failCommit(pc, cspan)
 }
 
 // failCommit closes one failed commit attempt: retry against the refreshed
 // view after a bounded backoff, or — at K failures — abandon the view and
 // escalate to the classic flood. Caller holds the lock.
-func (n *Node) failCommit(pc *pendingCommit, reason string, conflictSpan uint64) {
+func (n *Node) failCommit(pc *pendingCommit, conflictSpan uint64) {
 	uuid := pc.profile.UUID
-	if n.ssObs != nil {
-		n.ssObs.CommitConflict(n.env.Now(), n.id, uuid, pc.target, reason, pc.attempts)
-	}
 	if pc.attempts >= n.cfg.SharedStateRetries {
 		n.commitFallback(pc, conflictSpan)
 		return
@@ -294,12 +289,9 @@ func (n *Node) commitRetryFire(uuid job.UUID, parent uint64) {
 func (n *Node) commitFallback(pc *pendingCommit, parent uint64) {
 	uuid := pc.profile.UUID
 	delete(n.commits, uuid)
-	fb := n.emitSpan(TraceEvent{
+	fb := n.emitSpan(Event{
 		Kind: SpanCommitFallback, UUID: uuid, Parent: parent, Attempt: pc.attempts,
 	})
-	if n.ssObs != nil {
-		n.ssObs.CommitFallback(n.env.Now(), n.id, uuid, pc.attempts)
-	}
 	n.startFlood(pc.profile, 0, fb)
 }
 
@@ -317,10 +309,7 @@ func (n *Node) commitGranted(pc *pendingCommit, m Message) {
 	delete(n.commits, uuid)
 	n.resolveCommitView(pc)
 	n.view.ObserveGranted(pc.target)
-	if n.ssObs != nil {
-		n.ssObs.CommitGranted(n.env.Now(), n.id, uuid, pc.target, pc.attempts)
-	}
-	n.obs.JobAssigned(n.env.Now(), uuid, n.id, pc.target, 0, false)
+	n.emit(Event{Kind: KindCommitGranted, UUID: uuid, Peer: pc.target, Attempt: pc.attempts})
 	n.trackAssignment(pc.profile, pc.target, 0, pc.span)
 }
 
@@ -341,7 +330,7 @@ func (n *Node) closeCommitOnComplete(uuid job.UUID) {
 	}
 	delete(n.commits, uuid)
 	n.resolveCommitView(pc)
-	cspan := n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: uuid, Parent: pc.span, Peer: pc.target})
+	cspan := n.emitSpan(Event{Kind: SpanCancel, UUID: uuid, Parent: pc.span, Peer: pc.target})
 	n.env.Send(pc.target, Message{Type: MsgCancel, From: n.id, Job: pc.profile, Span: cspan})
 }
 

@@ -111,7 +111,7 @@ type DirectoryEntry struct {
 // TraceSource serves retained trace-plane events for trace queries; a
 // *trace.Ring or *trace.Collector satisfies it.
 type TraceSource interface {
-	ByUUID(uuid job.UUID) []core.TraceEvent
+	ByUUID(uuid job.UUID) []core.Event
 }
 
 // Server answers control requests for one protocol node.

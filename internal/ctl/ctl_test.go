@@ -172,14 +172,15 @@ func TestSubmittedJobCompletesOnGrid(t *testing.T) {
 }
 
 type completionObs struct {
-	core.NopObserver
-
 	done chan overlay.NodeID
 }
 
-func (o *completionObs) JobCompleted(_ time.Duration, node overlay.NodeID, _ *job.Job) {
+func (o *completionObs) Observe(ev core.Event) {
+	if ev.Kind != core.SpanComplete {
+		return
+	}
 	select {
-	case o.done <- node:
+	case o.done <- ev.Node:
 	default:
 	}
 }

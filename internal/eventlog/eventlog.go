@@ -31,7 +31,7 @@ const (
 	KindFailed      Kind = "failed"
 
 	// KindSpan carries one causal trace-plane event (trace extension);
-	// Span names the protocol step (core.SpanKind).
+	// Span names the protocol step (core.Kind).
 	KindSpan Kind = "span"
 )
 
@@ -51,7 +51,7 @@ type Event struct {
 	Reason  string  `json:"reason,omitempty"`  // failed; conflict verdict (span)
 
 	// Trace-plane fields (kind "span" only).
-	Span    core.SpanKind  `json:"span,omitempty"`    // protocol step
+	Span    core.Kind      `json:"span,omitempty"`    // protocol step
 	SpanID  uint64         `json:"spanId,omitempty"`  // event's span
 	Parent  uint64         `json:"parent,omitempty"`  // causal parent span
 	Msg     string         `json:"msg,omitempty"`     // flood message type
@@ -65,8 +65,8 @@ type Event struct {
 	Attempt int            `json:"attempt,omitempty"` // retry counter
 }
 
-// Writer is a core.Observer that appends one JSON line per event. It is
-// safe for concurrent use; write errors are recorded and reported by Err.
+// Writer is a core.Observer that appends one JSON line per logged event. It
+// is safe for concurrent use; write errors are recorded and reported by Err.
 type Writer struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -99,9 +99,63 @@ func (l *Writer) Err() error {
 	return l.err
 }
 
-func (l *Writer) emit(e Event) {
+// Observe implements core.Observer. Every span event becomes a span line,
+// and the job lifecycle steps (submit, assign, reschedule, start, complete,
+// fail) add their lifecycle line: before the span line for the first three,
+// after it for the rest, as the log has always ordered them. A granted
+// commit, the shared-state arm's placement, writes an assigned line alone;
+// other kinds without a span are not logged.
+func (l *Writer) Observe(ev core.Event) {
+	at := ev.At.Seconds()
+	var life Event
+	after := false
+	switch ev.Kind {
+	case core.SpanSubmit:
+		life = Event{Kind: KindSubmitted, At: at, UUID: ev.UUID, Node: ev.Node}
+	case core.SpanAssign, core.KindCommitGranted:
+		if !ev.Copy {
+			life = Event{Kind: KindAssigned, At: at, UUID: ev.UUID, From: ev.Node, To: ev.Peer, Cost: float64(ev.Cost)}
+		}
+	case core.SpanReschedule:
+		life = Event{Kind: KindRescheduled, At: at, UUID: ev.UUID, From: ev.Node, To: ev.Peer, Cost: float64(ev.Cost)}
+	case core.SpanStart:
+		life, after = Event{Kind: KindStarted, At: at, UUID: ev.UUID, Node: ev.Node}, true
+	case core.SpanComplete:
+		life, after = Event{
+			Kind: KindCompleted, At: at, UUID: ev.UUID, Node: ev.Node,
+			WaitSec: ev.Job.WaitingTime().Seconds(), ExecSec: ev.Job.ExecutionTime().Seconds(),
+		}, true
+	case core.SpanFail:
+		life, after = Event{Kind: KindFailed, At: at, UUID: ev.UUID, Node: ev.Node, Reason: ev.Reason}, true
+		ev.Reason = "" // the reason belongs to the failed line
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if life.Kind != "" && !after {
+		l.write(life)
+	}
+	if ev.Span != 0 {
+		l.writeSpan(ev)
+	}
+	if life.Kind != "" && after {
+		l.write(life)
+	}
+}
+
+// writeSpan writes the span line of a trace-plane event. Caller holds l.mu.
+func (l *Writer) writeSpan(ev core.Event) {
+	l.write(Event{
+		Kind: KindSpan, At: ev.At.Seconds(), UUID: ev.UUID, Node: ev.Node,
+		Span: ev.Kind, SpanID: ev.Span, Parent: ev.Parent,
+		Msg: msgName(ev.Msg), Hop: ev.Hop, TTL: ev.TTL, Fanout: ev.Fanout,
+		Seq: ev.Seq, Origin: ev.Origin, Peer: ev.Peer,
+		Cost: float64(ev.Cost), OldCost: float64(ev.OldCost), Attempt: ev.Attempt,
+		Reason: ev.Reason,
+	})
+}
+
+// write appends one line. Caller holds l.mu.
+func (l *Writer) write(e Event) {
 	if l.err != nil {
 		return
 	}
@@ -116,51 +170,6 @@ func (l *Writer) emit(e Event) {
 	}
 }
 
-// JobSubmitted implements core.Observer.
-func (l *Writer) JobSubmitted(at time.Duration, initiator overlay.NodeID, p job.Profile) {
-	l.emit(Event{Kind: KindSubmitted, At: at.Seconds(), UUID: p.UUID, Node: initiator})
-}
-
-// JobAssigned implements core.Observer.
-func (l *Writer) JobAssigned(at time.Duration, uuid job.UUID, from, to overlay.NodeID, cost sched.Cost, rescheduled bool) {
-	kind := KindAssigned
-	if rescheduled {
-		kind = KindRescheduled
-	}
-	l.emit(Event{Kind: kind, At: at.Seconds(), UUID: uuid, From: from, To: to, Cost: float64(cost)})
-}
-
-// JobStarted implements core.Observer.
-func (l *Writer) JobStarted(at time.Duration, node overlay.NodeID, uuid job.UUID) {
-	l.emit(Event{Kind: KindStarted, At: at.Seconds(), UUID: uuid, Node: node})
-}
-
-// JobCompleted implements core.Observer.
-func (l *Writer) JobCompleted(at time.Duration, node overlay.NodeID, j *job.Job) {
-	l.emit(Event{
-		Kind: KindCompleted, At: at.Seconds(), UUID: j.UUID, Node: node,
-		WaitSec: j.WaitingTime().Seconds(), ExecSec: j.ExecutionTime().Seconds(),
-	})
-}
-
-// JobFailed implements core.Observer.
-func (l *Writer) JobFailed(at time.Duration, initiator overlay.NodeID, uuid job.UUID, reason string) {
-	l.emit(Event{Kind: KindFailed, At: at.Seconds(), UUID: uuid, Node: initiator, Reason: reason})
-}
-
-// TraceSpan implements core.TraceObserver, streaming trace-plane events
-// into the same JSONL log as the lifecycle events.
-func (l *Writer) TraceSpan(ev core.TraceEvent) {
-	l.emit(Event{
-		Kind: KindSpan, At: ev.At.Seconds(), UUID: ev.UUID, Node: ev.Node,
-		Span: ev.Kind, SpanID: ev.Span, Parent: ev.Parent,
-		Msg: msgName(ev.Msg), Hop: ev.Hop, TTL: ev.TTL, Fanout: ev.Fanout,
-		Seq: ev.Seq, Origin: ev.Origin, Peer: ev.Peer,
-		Cost: float64(ev.Cost), OldCost: float64(ev.OldCost), Attempt: ev.Attempt,
-		Reason: ev.Reason,
-	})
-}
-
 // msgName renders a message type, leaving the zero value empty so the JSON
 // field is omitted for non-flood spans.
 func msgName(t core.MsgType) string {
@@ -173,11 +182,11 @@ func msgName(t core.MsgType) string {
 // TraceEvent converts a logged span event back into the engine's form, for
 // feeding a parsed log to trace.Check or trace.Forest. Returns false for
 // non-span events.
-func (e Event) TraceEvent() (core.TraceEvent, bool) {
+func (e Event) TraceEvent() (core.Event, bool) {
 	if e.Kind != KindSpan {
-		return core.TraceEvent{}, false
+		return core.Event{}, false
 	}
-	return core.TraceEvent{
+	return core.Event{
 		At:   time.Duration(e.At * float64(time.Second)),
 		Node: e.Node, Kind: e.Span, UUID: e.UUID,
 		Span: e.SpanID, Parent: e.Parent,
@@ -221,272 +230,3 @@ func Read(r io.Reader) ([]Event, error) {
 	}
 	return out, nil
 }
-
-// Tee fans events out to several observers.
-type Tee []core.Observer
-
-var _ core.Observer = Tee{}
-
-// JobSubmitted implements core.Observer.
-func (t Tee) JobSubmitted(at time.Duration, initiator overlay.NodeID, p job.Profile) {
-	for _, o := range t {
-		o.JobSubmitted(at, initiator, p)
-	}
-}
-
-// JobAssigned implements core.Observer.
-func (t Tee) JobAssigned(at time.Duration, uuid job.UUID, from, to overlay.NodeID, cost sched.Cost, rescheduled bool) {
-	for _, o := range t {
-		o.JobAssigned(at, uuid, from, to, cost, rescheduled)
-	}
-}
-
-// JobStarted implements core.Observer.
-func (t Tee) JobStarted(at time.Duration, node overlay.NodeID, uuid job.UUID) {
-	for _, o := range t {
-		o.JobStarted(at, node, uuid)
-	}
-}
-
-// JobCompleted implements core.Observer.
-func (t Tee) JobCompleted(at time.Duration, node overlay.NodeID, j *job.Job) {
-	for _, o := range t {
-		o.JobCompleted(at, node, j)
-	}
-}
-
-// JobFailed implements core.Observer.
-func (t Tee) JobFailed(at time.Duration, initiator overlay.NodeID, uuid job.UUID, reason string) {
-	for _, o := range t {
-		o.JobFailed(at, initiator, uuid, reason)
-	}
-}
-
-// TraceSpan implements core.TraceObserver, forwarding to the members that
-// implement it. The Tee always advertises the extension; members that do
-// not trace simply never see span events.
-func (t Tee) TraceSpan(ev core.TraceEvent) {
-	for _, o := range t {
-		if tobs, ok := o.(core.TraceObserver); ok {
-			tobs.TraceSpan(ev)
-		}
-	}
-}
-
-// AssignRetried implements core.DeliveryObserver, forwarding to the members
-// that implement it.
-func (t Tee) AssignRetried(at time.Duration, node overlay.NodeID, uuid job.UUID, attempt int) {
-	for _, o := range t {
-		if dobs, ok := o.(core.DeliveryObserver); ok {
-			dobs.AssignRetried(at, node, uuid, attempt)
-		}
-	}
-}
-
-// AssignRecovered implements core.DeliveryObserver, forwarding to the
-// members that implement it.
-func (t Tee) AssignRecovered(at time.Duration, node overlay.NodeID, uuid job.UUID) {
-	for _, o := range t {
-		if dobs, ok := o.(core.DeliveryObserver); ok {
-			dobs.AssignRecovered(at, node, uuid)
-		}
-	}
-}
-
-// PeerSuspected implements core.MembershipObserver, forwarding to the
-// members that implement it.
-func (t Tee) PeerSuspected(at time.Duration, node, peer overlay.NodeID) {
-	for _, o := range t {
-		if mobs, ok := o.(core.MembershipObserver); ok {
-			mobs.PeerSuspected(at, node, peer)
-		}
-	}
-}
-
-// PeerRefuted implements core.MembershipObserver, forwarding to the members
-// that implement it.
-func (t Tee) PeerRefuted(at time.Duration, node, peer overlay.NodeID) {
-	for _, o := range t {
-		if mobs, ok := o.(core.MembershipObserver); ok {
-			mobs.PeerRefuted(at, node, peer)
-		}
-	}
-}
-
-// PeerDead implements core.MembershipObserver, forwarding to the members
-// that implement it.
-func (t Tee) PeerDead(at time.Duration, node, peer overlay.NodeID) {
-	for _, o := range t {
-		if mobs, ok := o.(core.MembershipObserver); ok {
-			mobs.PeerDead(at, node, peer)
-		}
-	}
-}
-
-// LinkRepaired implements core.MembershipObserver, forwarding to the members
-// that implement it.
-func (t Tee) LinkRepaired(at time.Duration, node, dead, replacement overlay.NodeID) {
-	for _, o := range t {
-		if mobs, ok := o.(core.MembershipObserver); ok {
-			mobs.LinkRepaired(at, node, dead, replacement)
-		}
-	}
-}
-
-// FloodEscalated implements core.MembershipObserver, forwarding to the
-// members that implement it.
-func (t Tee) FloodEscalated(at time.Duration, node overlay.NodeID, uuid job.UUID, attempt, ttl int) {
-	for _, o := range t {
-		if mobs, ok := o.(core.MembershipObserver); ok {
-			mobs.FloodEscalated(at, node, uuid, attempt, ttl)
-		}
-	}
-}
-
-// NodeRecovered implements core.RecoveryObserver, forwarding to the members
-// that implement it.
-func (t Tee) NodeRecovered(at time.Duration, node overlay.NodeID, jobsRecovered, replayRecords int, snapshotAge time.Duration) {
-	for _, o := range t {
-		if robs, ok := o.(core.RecoveryObserver); ok {
-			robs.NodeRecovered(at, node, jobsRecovered, replayRecords, snapshotAge)
-		}
-	}
-}
-
-// DirectoryHit implements core.DirectoryObserver, forwarding to the members
-// that implement it.
-func (t Tee) DirectoryHit(at time.Duration, node overlay.NodeID, uuid job.UUID, probes int) {
-	for _, o := range t {
-		if dobs, ok := o.(core.DirectoryObserver); ok {
-			dobs.DirectoryHit(at, node, uuid, probes)
-		}
-	}
-}
-
-// DirectoryMiss implements core.DirectoryObserver, forwarding to the members
-// that implement it.
-func (t Tee) DirectoryMiss(at time.Duration, node overlay.NodeID, uuid job.UUID) {
-	for _, o := range t {
-		if dobs, ok := o.(core.DirectoryObserver); ok {
-			dobs.DirectoryMiss(at, node, uuid)
-		}
-	}
-}
-
-// DirectoryFallback implements core.DirectoryObserver, forwarding to the
-// members that implement it.
-func (t Tee) DirectoryFallback(at time.Duration, node overlay.NodeID, uuid job.UUID, offers int) {
-	for _, o := range t {
-		if dobs, ok := o.(core.DirectoryObserver); ok {
-			dobs.DirectoryFallback(at, node, uuid, offers)
-		}
-	}
-}
-
-// DirectoryEvicted implements core.DirectoryObserver, forwarding to the
-// members that implement it.
-func (t Tee) DirectoryEvicted(at time.Duration, node, subject overlay.NodeID, reason string) {
-	for _, o := range t {
-		if dobs, ok := o.(core.DirectoryObserver); ok {
-			dobs.DirectoryEvicted(at, node, subject, reason)
-		}
-	}
-}
-
-// CommitSent implements core.SharedStateObserver, forwarding to the
-// members that implement it.
-func (t Tee) CommitSent(at time.Duration, node overlay.NodeID, uuid job.UUID, target overlay.NodeID, attempt int) {
-	for _, o := range t {
-		if sobs, ok := o.(core.SharedStateObserver); ok {
-			sobs.CommitSent(at, node, uuid, target, attempt)
-		}
-	}
-}
-
-// CommitConflict implements core.SharedStateObserver, forwarding to the
-// members that implement it.
-func (t Tee) CommitConflict(at time.Duration, node overlay.NodeID, uuid job.UUID, target overlay.NodeID, reason string, attempt int) {
-	for _, o := range t {
-		if sobs, ok := o.(core.SharedStateObserver); ok {
-			sobs.CommitConflict(at, node, uuid, target, reason, attempt)
-		}
-	}
-}
-
-// CommitGranted implements core.SharedStateObserver, forwarding to the
-// members that implement it.
-func (t Tee) CommitGranted(at time.Duration, node overlay.NodeID, uuid job.UUID, target overlay.NodeID, attempts int) {
-	for _, o := range t {
-		if sobs, ok := o.(core.SharedStateObserver); ok {
-			sobs.CommitGranted(at, node, uuid, target, attempts)
-		}
-	}
-}
-
-// CommitFallback implements core.SharedStateObserver, forwarding to the
-// members that implement it.
-func (t Tee) CommitFallback(at time.Duration, node overlay.NodeID, uuid job.UUID, attempts int) {
-	for _, o := range t {
-		if sobs, ok := o.(core.SharedStateObserver); ok {
-			sobs.CommitFallback(at, node, uuid, attempts)
-		}
-	}
-}
-
-// RequestShed implements core.OverloadObserver, forwarding to the members
-// that implement it.
-func (t Tee) RequestShed(at time.Duration, node overlay.NodeID, uuid job.UUID, depth int) {
-	for _, o := range t {
-		if oobs, ok := o.(core.OverloadObserver); ok {
-			oobs.RequestShed(at, node, uuid, depth)
-		}
-	}
-}
-
-// AssignShed implements core.OverloadObserver, forwarding to the members
-// that implement it.
-func (t Tee) AssignShed(at time.Duration, node overlay.NodeID, uuid job.UUID, depth int) {
-	for _, o := range t {
-		if oobs, ok := o.(core.OverloadObserver); ok {
-			oobs.AssignShed(at, node, uuid, depth)
-		}
-	}
-}
-
-// ShedRedispatched implements core.OverloadObserver, forwarding to the
-// members that implement it.
-func (t Tee) ShedRedispatched(at time.Duration, node overlay.NodeID, uuid job.UUID, reflooded bool) {
-	for _, o := range t {
-		if oobs, ok := o.(core.OverloadObserver); ok {
-			oobs.ShedRedispatched(at, node, uuid, reflooded)
-		}
-	}
-}
-
-// PeerBusy implements core.OverloadObserver, forwarding to the members that
-// implement it.
-func (t Tee) PeerBusy(at time.Duration, node, peer overlay.NodeID) {
-	for _, o := range t {
-		if oobs, ok := o.(core.OverloadObserver); ok {
-			oobs.PeerBusy(at, node, peer)
-		}
-	}
-}
-
-// SubmitRejected implements core.OverloadObserver, forwarding to the members
-// that implement it.
-func (t Tee) SubmitRejected(at time.Duration, node overlay.NodeID, uuid job.UUID, pending int) {
-	for _, o := range t {
-		if oobs, ok := o.(core.OverloadObserver); ok {
-			oobs.SubmitRejected(at, node, uuid, pending)
-		}
-	}
-}
-
-var (
-	_ core.MembershipObserver  = Tee{}
-	_ core.RecoveryObserver    = Tee{}
-	_ core.DirectoryObserver   = Tee{}
-	_ core.OverloadObserver    = Tee{}
-	_ core.SharedStateObserver = Tee{}
-)

@@ -9,9 +9,7 @@ import (
 
 	"github.com/smartgrid/aria/internal/core"
 	"github.com/smartgrid/aria/internal/job"
-	"github.com/smartgrid/aria/internal/overlay"
 	"github.com/smartgrid/aria/internal/resource"
-	"github.com/smartgrid/aria/internal/sched"
 )
 
 func sampleJob() *job.Job {
@@ -33,12 +31,17 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	j := sampleJob()
-	w.JobSubmitted(time.Minute, 3, j.Profile)
-	w.JobAssigned(2*time.Minute, j.UUID, 3, 7, 1234, false)
-	w.JobAssigned(3*time.Minute, j.UUID, 7, 9, 900, true)
-	w.JobStarted(30*time.Minute, 9, j.UUID)
-	w.JobCompleted(90*time.Minute, 9, j)
-	w.JobFailed(91*time.Minute, 3, "deadbeefdeadbeefdeadbeefdeadbeef", "no candidate found")
+	// Span zero: lifecycle lines only, as an untraced stream logs them.
+	for _, ev := range []core.Event{
+		{At: time.Minute, Node: 3, Kind: core.SpanSubmit, UUID: j.UUID},
+		{At: 2 * time.Minute, Node: 3, Kind: core.SpanAssign, UUID: j.UUID, Peer: 7, Cost: 1234},
+		{At: 3 * time.Minute, Node: 7, Kind: core.SpanReschedule, UUID: j.UUID, Peer: 9, Cost: 900},
+		{At: 30 * time.Minute, Node: 9, Kind: core.SpanStart, UUID: j.UUID},
+		{At: 90 * time.Minute, Node: 9, Kind: core.SpanComplete, UUID: j.UUID, Job: j},
+		{At: 91 * time.Minute, Node: 3, Kind: core.SpanFail, UUID: "deadbeefdeadbeefdeadbeefdeadbeef", Reason: "no candidate found"},
+	} {
+		w.Observe(ev)
+	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestWriterRecordsError(t *testing.T) {
 	w := NewWriter(&failingWriter{remaining: 1})
 	j := sampleJob()
 	for i := 0; i < 1000; i++ {
-		w.JobStarted(time.Minute, 1, j.UUID)
+		w.Observe(core.Event{At: time.Minute, Node: 1, Kind: core.SpanStart, UUID: j.UUID})
 	}
 	if w.Flush() == nil {
 		t.Fatal("write error never surfaced")
@@ -105,29 +108,46 @@ func TestWriterRecordsError(t *testing.T) {
 	}
 }
 
-func TestTeeFansOut(t *testing.T) {
-	var buf1, buf2 bytes.Buffer
-	w1, w2 := NewWriter(&buf1), NewWriter(&buf2)
-	tee := Tee{w1, w2}
-	var obs core.Observer = tee
+// TestWriterSpanLines pins where lifecycle lines sit next to span lines, and
+// which events write nothing.
+func TestWriterSpanLines(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
 	j := sampleJob()
-	obs.JobSubmitted(time.Minute, 1, j.Profile)
-	obs.JobAssigned(time.Minute, j.UUID, 1, 2, 5, false)
-	obs.JobStarted(time.Minute, 2, j.UUID)
-	obs.JobCompleted(2*time.Minute, 2, j)
-	obs.JobFailed(3*time.Minute, 1, j.UUID, "x")
-	if err := w1.Flush(); err != nil {
+	for _, ev := range []core.Event{
+		{Node: 1, Kind: core.SpanSubmit, UUID: j.UUID, Span: 1},
+		{Node: 1, Kind: core.SpanAssign, UUID: j.UUID, Span: 2, Peer: 2},
+		{Node: 1, Kind: core.SpanAssign, UUID: j.UUID, Span: 3, Peer: 3, Copy: true},
+		{Node: 1, Kind: core.KindPeerBusy, Peer: 3},
+		{Node: 2, Kind: core.SpanStart, UUID: j.UUID, Span: 4},
+		{Node: 2, Kind: core.SpanComplete, UUID: j.UUID, Span: 5, Job: j},
+		{Node: 1, Kind: core.SpanFail, UUID: j.UUID, Span: 6, Reason: "no candidate found"},
+		{Node: 1, Kind: core.KindCommitGranted, UUID: j.UUID, Peer: 4, Attempt: 1},
+	} {
+		w.Observe(ev)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Flush(); err != nil {
+	events, err := Read(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if buf1.String() != buf2.String() {
-		t.Fatal("tee outputs diverged")
+	var got []string
+	for _, e := range events {
+		line := string(e.Kind)
+		if e.Kind == KindSpan {
+			line += ":" + string(e.Span)
+		}
+		if e.Reason != "" {
+			line += "(" + e.Reason + ")"
+		}
+		got = append(got, line)
 	}
-	events, err := Read(&buf1)
-	if err != nil || len(events) != 5 {
-		t.Fatalf("tee events: %d %v", len(events), err)
+	want := "submitted span:submit assigned span:assign span:assign span:start started " +
+		"span:complete completed span:fail failed(no candidate found) assigned"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("lines:\n got %s\nwant %s", strings.Join(got, " "), want)
 	}
 }
 
@@ -135,13 +155,11 @@ func TestEventsOverlaySimulation(t *testing.T) {
 	// The writer plugs in anywhere an Observer does — use one as a
 	// node's observer and confirm the stream parses.
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	var _ sched.Policy // keep imports honest
-	var _ overlay.NodeID
+	var obs core.Observer = NewWriter(&buf)
 	j := sampleJob()
-	w.JobSubmitted(0, 1, j.Profile)
-	w.JobCompleted(time.Hour, 1, j)
-	if err := w.Flush(); err != nil {
+	obs.Observe(core.Event{At: 0, Node: 1, Kind: core.SpanSubmit, UUID: j.UUID})
+	obs.Observe(core.Event{At: time.Hour, Node: 1, Kind: core.SpanComplete, UUID: j.UUID, Job: j})
+	if err := obs.(*Writer).Flush(); err != nil {
 		t.Fatal(err)
 	}
 	events, err := Read(&buf)

@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/smartgrid/aria/internal/core"
 	"github.com/smartgrid/aria/internal/eventlog"
 	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/resource"
 )
 
 // A Writer plugs in anywhere a core.Observer does and emits one JSON line
-// per lifecycle event; Read parses the stream back.
+// per lifecycle step (plus one per span when the events carry span IDs);
+// Read parses the stream back.
 func ExampleWriter() {
 	var buf bytes.Buffer
 	w := eventlog.NewWriter(&buf)
@@ -25,12 +27,12 @@ func ExampleWriter() {
 		ERT:   time.Hour,
 		Class: job.ClassBatch,
 	})
-	w.JobSubmitted(time.Minute, 3, j.Profile)
-	w.JobAssigned(2*time.Minute, j.UUID, 3, 7, 3600, false)
+	w.Observe(core.Event{At: time.Minute, Node: 3, Kind: core.SpanSubmit, UUID: j.UUID})
+	w.Observe(core.Event{At: 2 * time.Minute, Node: 3, Kind: core.SpanAssign, UUID: j.UUID, Peer: 7, Cost: 3600})
 	j.State = job.StateCompleted
 	j.StartedAt = 10 * time.Minute
 	j.CompletedAt = 70 * time.Minute
-	w.JobCompleted(70*time.Minute, 7, j)
+	w.Observe(core.Event{At: 70 * time.Minute, Node: 7, Kind: core.SpanComplete, UUID: j.UUID, Job: j})
 	if err := w.Flush(); err != nil {
 		fmt.Println("flush:", err)
 		return

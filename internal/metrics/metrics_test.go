@@ -38,10 +38,10 @@ func TestRecorderCompletionAccounting(t *testing.T) {
 	r := NewRecorder()
 	j1 := completedJob(rng, 0, time.Hour, 2*time.Hour)           // wait 1h exec 1h comp 2h
 	j2 := completedJob(rng, time.Hour, 4*time.Hour, 6*time.Hour) // wait 3h exec 2h comp 5h
-	r.JobSubmitted(0, 1, j1.Profile)
-	r.JobSubmitted(time.Hour, 2, j2.Profile)
-	r.JobCompleted(2*time.Hour, 5, j1)
-	r.JobCompleted(6*time.Hour, 6, j2)
+	r.Observe(core.Event{Node: 1, Kind: core.SpanSubmit, UUID: j1.UUID})
+	r.Observe(core.Event{At: time.Hour, Node: 2, Kind: core.SpanSubmit, UUID: j2.UUID})
+	r.Observe(core.Event{At: 2 * time.Hour, Node: 5, Kind: core.SpanComplete, Job: j1})
+	r.Observe(core.Event{At: 6 * time.Hour, Node: 6, Kind: core.SpanComplete, Job: j2})
 	res := r.Result("test", 1, 10, 10*time.Hour, time.Hour)
 	if res.Submitted != 2 || res.Completed != 2 {
 		t.Fatalf("submitted/completed = %d/%d", res.Submitted, res.Completed)
@@ -61,10 +61,10 @@ func TestRecorderCompletionIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	r := NewRecorder()
 	j := completedJob(rng, 0, time.Hour, 2*time.Hour)
-	r.JobCompleted(2*time.Hour, 1, j)
+	r.Observe(core.Event{At: 2 * time.Hour, Node: 1, Kind: core.SpanComplete, Job: j})
 	dup := *j
 	dup.CompletedAt = 9 * time.Hour
-	r.JobCompleted(9*time.Hour, 2, &dup)
+	r.Observe(core.Event{At: 9 * time.Hour, Node: 2, Kind: core.SpanComplete, Job: &dup})
 	res := r.Result("test", 1, 10, 10*time.Hour, time.Hour)
 	if res.Completed != 1 {
 		t.Fatalf("Completed = %d, want 1 (idempotent)", res.Completed)
@@ -77,9 +77,9 @@ func TestRecorderCompletionIdempotent(t *testing.T) {
 func TestRecorderCompletedSeries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := NewRecorder()
-	r.JobCompleted(0, 1, completedJob(rng, 0, 0, 30*time.Minute))
-	r.JobCompleted(0, 1, completedJob(rng, 0, 0, 90*time.Minute))
-	r.JobCompleted(0, 1, completedJob(rng, 0, 0, 100*time.Minute))
+	r.Observe(core.Event{Node: 1, Kind: core.SpanComplete, Job: completedJob(rng, 0, 0, 30*time.Minute)})
+	r.Observe(core.Event{Node: 1, Kind: core.SpanComplete, Job: completedJob(rng, 0, 0, 90*time.Minute)})
+	r.Observe(core.Event{Node: 1, Kind: core.SpanComplete, Job: completedJob(rng, 0, 0, 100*time.Minute)})
 	res := r.Result("test", 1, 10, 3*time.Hour, time.Hour)
 	// Bins: [0,1h)→1, [1h,2h)→2 more, [2h,3h]→0. Cumulative: 1,3,3,3.
 	want := []int{1, 3, 3, 3}
@@ -96,9 +96,9 @@ func TestRecorderCompletedSeries(t *testing.T) {
 func TestRecorderDeadlineMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	r := NewRecorder()
-	r.JobCompleted(0, 1, deadlineOutcome(rng, 5*time.Hour, 3*time.Hour)) // met, slack 2h
-	r.JobCompleted(0, 1, deadlineOutcome(rng, 5*time.Hour, 4*time.Hour)) // met, slack 1h
-	r.JobCompleted(0, 1, deadlineOutcome(rng, 2*time.Hour, 5*time.Hour)) // missed by 3h
+	r.Observe(core.Event{Node: 1, Kind: core.SpanComplete, Job: deadlineOutcome(rng, 5*time.Hour, 3*time.Hour)}) // met, slack 2h
+	r.Observe(core.Event{Node: 1, Kind: core.SpanComplete, Job: deadlineOutcome(rng, 5*time.Hour, 4*time.Hour)}) // met, slack 1h
+	r.Observe(core.Event{Node: 1, Kind: core.SpanComplete, Job: deadlineOutcome(rng, 2*time.Hour, 5*time.Hour)}) // missed by 3h
 	res := r.Result("test", 1, 10, 10*time.Hour, time.Hour)
 	if res.DeadlineJobs != 3 || res.MissedDeadlines != 1 {
 		t.Fatalf("deadline jobs/missed = %d/%d", res.DeadlineJobs, res.MissedDeadlines)
@@ -141,7 +141,7 @@ func TestRecorderIdleAndFailures(t *testing.T) {
 	r := NewRecorder()
 	r.AddIdleSample(time.Minute, 9, 10)
 	r.AddIdleSample(2*time.Minute, 8, 10)
-	r.JobFailed(0, 1, job.UUID("x"), "no candidate")
+	r.Observe(core.Event{Node: 1, Kind: core.SpanFail, UUID: job.UUID("x"), Reason: "no candidate"})
 	res := r.Result("test", 1, 10, time.Hour, time.Minute)
 	if len(res.IdleSeries) != 2 || res.IdleSeries[1].Idle != 8 {
 		t.Fatalf("idle series %+v", res.IdleSeries)
@@ -153,9 +153,9 @@ func TestRecorderIdleAndFailures(t *testing.T) {
 
 func TestRecorderReschedules(t *testing.T) {
 	r := NewRecorder()
-	r.JobAssigned(0, "a", 1, 2, 10, false)
-	r.JobAssigned(0, "a", 2, 3, 5, true)
-	r.JobAssigned(0, "a", 3, 4, 2, true)
+	r.Observe(core.Event{Node: 1, Kind: core.SpanAssign, UUID: "a", Peer: 2, Cost: 10})
+	r.Observe(core.Event{Node: 2, Kind: core.SpanReschedule, UUID: "a", Peer: 3, Cost: 5})
+	r.Observe(core.Event{Node: 3, Kind: core.SpanReschedule, UUID: "a", Peer: 4, Cost: 2})
 	res := r.Result("test", 1, 10, time.Hour, time.Minute)
 	if res.Assignments != 3 || res.Reschedules != 2 {
 		t.Fatalf("assignments/reschedules = %d/%d", res.Assignments, res.Reschedules)
@@ -167,8 +167,8 @@ func TestNewAggregate(t *testing.T) {
 	mk := func(completion time.Duration) *Result {
 		r := NewRecorder()
 		j := completedJob(rng, 0, 0, completion)
-		r.JobSubmitted(0, 1, j.Profile)
-		r.JobCompleted(completion, 1, j)
+		r.Observe(core.Event{Node: 1, Kind: core.SpanSubmit, UUID: j.UUID})
+		r.Observe(core.Event{At: completion, Node: 1, Kind: core.SpanComplete, Job: j})
 		r.AddIdleSample(time.Minute, 5, 10)
 		r.OnMessage(0, 1, 2, &core.Message{Type: core.MsgInform, Job: j.Profile})
 		return r.Result("agg", 1, 10, 4*time.Hour, time.Hour)
@@ -196,10 +196,10 @@ func TestNewAggregate(t *testing.T) {
 
 func TestDuplicateStartsAccounting(t *testing.T) {
 	r := NewRecorder()
-	r.JobStarted(0, 1, "a")
-	r.JobStarted(0, 2, "a") // duplicate copy
-	r.JobStarted(0, 3, "a") // another duplicate
-	r.JobStarted(0, 1, "b")
+	r.Observe(core.Event{Node: 1, Kind: core.SpanStart, UUID: "a"})
+	r.Observe(core.Event{Node: 2, Kind: core.SpanStart, UUID: "a"}) // duplicate copy
+	r.Observe(core.Event{Node: 3, Kind: core.SpanStart, UUID: "a"}) // another duplicate
+	r.Observe(core.Event{Node: 1, Kind: core.SpanStart, UUID: "b"})
 	res := r.Result("t", 1, 4, time.Hour, time.Minute)
 	if res.DuplicateStarts != 2 {
 		t.Fatalf("DuplicateStarts = %d, want 2", res.DuplicateStarts)
@@ -212,16 +212,16 @@ func TestJainIndex(t *testing.T) {
 	// Two nodes doing equal work out of 2 total nodes → J = 1.
 	a := completedJob(rng, 0, 0, time.Hour)
 	b := completedJob(rng, 0, 0, time.Hour)
-	r.JobCompleted(0, 1, a)
-	r.JobCompleted(0, 2, b)
+	r.Observe(core.Event{Node: 1, Kind: core.SpanComplete, Job: a})
+	r.Observe(core.Event{Node: 2, Kind: core.SpanComplete, Job: b})
 	res := r.Result("t", 1, 2, time.Hour, time.Minute)
 	if res.LoadJainIndex < 0.999 || res.LoadJainIndex > 1.001 {
 		t.Fatalf("Jain = %v, want 1 for perfectly even load", res.LoadJainIndex)
 	}
 	// One node doing everything out of 4 → J = 1/4.
 	r2 := NewRecorder()
-	r2.JobCompleted(0, 1, completedJob(rng, 0, 0, time.Hour))
-	r2.JobCompleted(0, 1, completedJob(rng, 0, 0, time.Hour))
+	r2.Observe(core.Event{Node: 1, Kind: core.SpanComplete, Job: completedJob(rng, 0, 0, time.Hour)})
+	r2.Observe(core.Event{Node: 1, Kind: core.SpanComplete, Job: completedJob(rng, 0, 0, time.Hour)})
 	res2 := r2.Result("t", 1, 4, time.Hour, time.Minute)
 	if res2.LoadJainIndex < 0.249 || res2.LoadJainIndex > 0.251 {
 		t.Fatalf("Jain = %v, want 0.25 for one-of-four hot spot", res2.LoadJainIndex)

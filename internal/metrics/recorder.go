@@ -13,7 +13,6 @@ import (
 	"github.com/smartgrid/aria/internal/faults"
 	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/overlay"
-	"github.com/smartgrid/aria/internal/sched"
 )
 
 // Traffic accumulates transmissions of one message type.
@@ -121,22 +120,11 @@ type Recorder struct {
 	commitGrantAttempts int
 	commitFallbacks     int
 
-	// Per-kind trace-plane counters; populated only when nodes run with a
-	// trace observer (the recorder rides an eventlog.Tee next to a
-	// trace.Collector).
-	spans map[core.SpanKind]int
+	// Per-kind span counters.
+	spans map[core.Kind]int
 }
 
-var (
-	_ core.Observer            = (*Recorder)(nil)
-	_ core.DeliveryObserver    = (*Recorder)(nil)
-	_ core.TraceObserver       = (*Recorder)(nil)
-	_ core.MembershipObserver  = (*Recorder)(nil)
-	_ core.RecoveryObserver    = (*Recorder)(nil)
-	_ core.DirectoryObserver   = (*Recorder)(nil)
-	_ core.OverloadObserver    = (*Recorder)(nil)
-	_ core.SharedStateObserver = (*Recorder)(nil)
-)
+var _ core.Observer = (*Recorder)(nil)
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
@@ -144,43 +132,105 @@ func NewRecorder() *Recorder {
 		submitted: make(map[job.UUID]time.Duration),
 		starts:    make(map[job.UUID]int),
 		outcomes:  make(map[job.UUID]JobOutcome),
-		spans:     make(map[core.SpanKind]int),
+		spans:     make(map[core.Kind]int),
 
 		dirEvictions:    make(map[string]int),
 		commitConflicts: make(map[string]int),
 	}
 }
 
-// JobSubmitted implements core.Observer.
-func (r *Recorder) JobSubmitted(at time.Duration, _ overlay.NodeID, p job.Profile) {
+// Observe implements core.Observer: span events count per kind, and every
+// kind a result field reports feeds its counter.
+func (r *Recorder) Observe(ev core.Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.submitted[p.UUID]; !dup {
-		r.submitted[p.UUID] = at
+	if ev.Span != 0 {
+		r.spans[ev.Kind]++
 	}
-}
-
-// JobAssigned implements core.Observer.
-func (r *Recorder) JobAssigned(_ time.Duration, _ job.UUID, _, _ overlay.NodeID, _ sched.Cost, rescheduled bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.assignments++
-	if rescheduled {
+	switch ev.Kind {
+	case core.SpanSubmit:
+		if _, dup := r.submitted[ev.UUID]; !dup {
+			r.submitted[ev.UUID] = ev.At
+		}
+	case core.SpanAssign:
+		if !ev.Copy {
+			r.assignments++
+		}
+	case core.SpanReschedule:
+		r.assignments++
 		r.reschedules++
+	case core.SpanStart:
+		r.starts[ev.UUID]++
+	case core.SpanComplete:
+		r.complete(ev.Node, ev.Job)
+	case core.SpanFail:
+		r.failed++
+	case core.SpanRetry:
+		r.assignRetries++
+	case core.KindAssignRecovered:
+		r.assignRecoveries++
+	case core.SpanSuspect:
+		r.peersSuspected++
+	case core.KindRefuted:
+		r.peersRefuted++
+	case core.SpanPeerDead:
+		r.peersDead++
+	case core.SpanRepair:
+		r.linksRepaired++
+	case core.KindFloodEscalated:
+		r.floodsEscalated++
+	case core.SpanRestart:
+		r.jobsRecovered += ev.Fanout
+		r.replayRecords += ev.Count
+		if ev.Age > r.maxSnapshotAge {
+			r.maxSnapshotAge = ev.Age
+		}
+	case core.SpanDirectedProbe:
+		r.dirHits++
+		r.dirProbes += ev.Fanout
+	case core.KindDirectoryMiss:
+		r.dirMisses++
+	case core.SpanDirectoryFallback:
+		r.dirFallbacks++
+	case core.KindDirectoryEvicted:
+		r.dirEvictions[ev.Reason]++
+	case core.SpanBusy:
+		if ev.Msg == core.MsgAssign {
+			r.assignsShed++
+		} else {
+			r.requestsShed++
+		}
+	case core.SpanShed:
+		if ev.Requeued {
+			r.shedsReenqueued++
+		} else {
+			r.shedsReflooded++
+		}
+	case core.KindPeerBusy:
+		r.peersBusy++
+	case core.KindSubmitRejected:
+		r.submitRejects++
+	case core.SpanCommit:
+		r.commitsSent++
+	case core.KindConflictRecv:
+		r.commitConflicts[ev.Reason]++
+	case core.SpanConflict:
+		// Provider-side rejections are counted where the initiator
+		// receives them (KindConflictRecv); a timeout has no reply.
+		if ev.Reason == core.ConflictTimeout {
+			r.commitConflicts[ev.Reason]++
+		}
+	case core.KindCommitGranted:
+		r.assignments++
+		r.commitsGranted++
+		r.commitGrantAttempts += ev.Attempt
+	case core.SpanCommitFallback:
+		r.commitFallbacks++
 	}
 }
 
-// JobStarted implements core.Observer.
-func (r *Recorder) JobStarted(_ time.Duration, _ overlay.NodeID, uuid job.UUID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.starts[uuid]++
-}
-
-// JobCompleted implements core.Observer.
-func (r *Recorder) JobCompleted(_ time.Duration, node overlay.NodeID, j *job.Job) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// complete records a job's first completion. Caller holds the lock.
+func (r *Recorder) complete(node overlay.NodeID, j *job.Job) {
 	if _, dup := r.outcomes[j.UUID]; dup {
 		return
 	}
@@ -200,70 +250,6 @@ func (r *Recorder) JobCompleted(_ time.Duration, node overlay.NodeID, j *job.Job
 	r.order = append(r.order, j.UUID)
 }
 
-// JobFailed implements core.Observer.
-func (r *Recorder) JobFailed(time.Duration, overlay.NodeID, job.UUID, string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.failed++
-}
-
-// AssignRetried implements core.DeliveryObserver.
-func (r *Recorder) AssignRetried(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.assignRetries++
-}
-
-// AssignRecovered implements core.DeliveryObserver.
-func (r *Recorder) AssignRecovered(time.Duration, overlay.NodeID, job.UUID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.assignRecoveries++
-}
-
-// TraceSpan implements core.TraceObserver, counting span events per kind.
-// The full event stream is retained by a trace.Collector, not here.
-func (r *Recorder) TraceSpan(ev core.TraceEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spans[ev.Kind]++
-}
-
-// PeerSuspected implements core.MembershipObserver.
-func (r *Recorder) PeerSuspected(time.Duration, overlay.NodeID, overlay.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.peersSuspected++
-}
-
-// PeerRefuted implements core.MembershipObserver.
-func (r *Recorder) PeerRefuted(time.Duration, overlay.NodeID, overlay.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.peersRefuted++
-}
-
-// PeerDead implements core.MembershipObserver.
-func (r *Recorder) PeerDead(time.Duration, overlay.NodeID, overlay.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.peersDead++
-}
-
-// LinkRepaired implements core.MembershipObserver.
-func (r *Recorder) LinkRepaired(time.Duration, overlay.NodeID, overlay.NodeID, overlay.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.linksRepaired++
-}
-
-// FloodEscalated implements core.MembershipObserver.
-func (r *Recorder) FloodEscalated(time.Duration, overlay.NodeID, job.UUID, int, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.floodsEscalated++
-}
-
 // NodeRestarted records one node coming back after a crash (whether or not
 // it had a journal to recover from; the harness calls this, since an
 // amnesiac restart is invisible to the protocol).
@@ -271,128 +257,6 @@ func (r *Recorder) NodeRestarted() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.restarts++
-}
-
-// NodeRecovered implements core.RecoveryObserver: one journaled node rebuilt
-// its scheduler state after a restart.
-func (r *Recorder) NodeRecovered(_ time.Duration, _ overlay.NodeID, jobsRecovered, replayRecords int, snapshotAge time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.jobsRecovered += jobsRecovered
-	r.replayRecords += replayRecords
-	if snapshotAge > r.maxSnapshotAge {
-		r.maxSnapshotAge = snapshotAge
-	}
-}
-
-// DirectoryHit implements core.DirectoryObserver: one discovery round went
-// directed, sending probes targeted REQUESTs instead of a flood.
-func (r *Recorder) DirectoryHit(_ time.Duration, _ overlay.NodeID, _ job.UUID, probes int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dirHits++
-	r.dirProbes += probes
-}
-
-// DirectoryMiss implements core.DirectoryObserver: the cache held no
-// satisfying candidate and discovery flooded directly.
-func (r *Recorder) DirectoryMiss(time.Duration, overlay.NodeID, job.UUID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dirMisses++
-}
-
-// DirectoryFallback implements core.DirectoryObserver: a directed round
-// starved and escalated to the classic flood.
-func (r *Recorder) DirectoryFallback(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dirFallbacks++
-}
-
-// DirectoryEvicted implements core.DirectoryObserver, counting cache
-// evictions by reason (capacity, stale, suspect, dead, unreachable).
-func (r *Recorder) DirectoryEvicted(_ time.Duration, _, _ overlay.NodeID, reason string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dirEvictions[reason]++
-}
-
-// RequestShed implements core.OverloadObserver: a saturated provider
-// declined to offer on a matching REQUEST.
-func (r *Recorder) RequestShed(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.requestsShed++
-}
-
-// AssignShed implements core.OverloadObserver: a saturated provider refused
-// an incoming ASSIGN with a BUSY reply.
-func (r *Recorder) AssignShed(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.assignsShed++
-}
-
-// ShedRedispatched implements core.OverloadObserver: the sender of a shed
-// ASSIGN re-homed the job.
-func (r *Recorder) ShedRedispatched(_ time.Duration, _ overlay.NodeID, _ job.UUID, reflooded bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if reflooded {
-		r.shedsReflooded++
-	} else {
-		r.shedsReenqueued++
-	}
-}
-
-// PeerBusy implements core.OverloadObserver: a node learned a peer is
-// saturated from a BUSY reply.
-func (r *Recorder) PeerBusy(time.Duration, overlay.NodeID, overlay.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.peersBusy++
-}
-
-// SubmitRejected implements core.OverloadObserver: admission control bounced
-// a local Submit.
-func (r *Recorder) SubmitRejected(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.submitRejects++
-}
-
-// CommitSent implements core.SharedStateObserver: an initiator committed a
-// job optimistically against its cached cluster view.
-func (r *Recorder) CommitSent(time.Duration, overlay.NodeID, job.UUID, overlay.NodeID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.commitsSent++
-}
-
-// CommitConflict implements core.SharedStateObserver, counting failed
-// commit attempts by reason (busy, stale, lost, timeout).
-func (r *Recorder) CommitConflict(_ time.Duration, _ overlay.NodeID, _ job.UUID, _ overlay.NodeID, reason string, _ int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.commitConflicts[reason]++
-}
-
-// CommitGranted implements core.SharedStateObserver: a provider accepted
-// the commit after the given number of attempts.
-func (r *Recorder) CommitGranted(_ time.Duration, _ overlay.NodeID, _ job.UUID, _ overlay.NodeID, attempts int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.commitsGranted++
-	r.commitGrantAttempts += attempts
-}
-
-// CommitFallback implements core.SharedStateObserver: K failed commits
-// exhausted the cached view and discovery escalated to the flood.
-func (r *Recorder) CommitFallback(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.commitFallbacks++
 }
 
 // SubmissionShed records one workload submission that admission control

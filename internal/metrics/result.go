@@ -114,7 +114,7 @@ type Result struct {
 
 	// Spans counts trace-plane events per kind; nil unless the run was
 	// traced (scenario.Config.Trace).
-	Spans map[core.SpanKind]int
+	Spans map[core.Kind]int
 }
 
 // SpanTotal sums the per-kind trace event counts.
@@ -385,7 +385,7 @@ func (r *Recorder) Result(scenario string, seed int64, nodes int, horizon, binWi
 		MaxSnapshotAge: r.maxSnapshotAge,
 	}
 	if len(r.spans) > 0 {
-		res.Spans = make(map[core.SpanKind]int, len(r.spans))
+		res.Spans = make(map[core.Kind]int, len(r.spans))
 		for k, c := range r.spans {
 			res.Spans[k] = c
 		}

@@ -59,7 +59,7 @@ func (v Violation) String() string {
 type Report struct {
 	Events     int
 	Jobs       int
-	ByKind     map[core.SpanKind]int
+	ByKind     map[core.Kind]int
 	Violations []Violation
 }
 
@@ -76,7 +76,7 @@ func (r Report) String() string {
 	}
 	sort.Strings(kinds)
 	for _, k := range kinds {
-		fmt.Fprintf(&b, "\n  %-14s %d", k, r.ByKind[core.SpanKind(k)])
+		fmt.Fprintf(&b, "\n  %-14s %d", k, r.ByKind[core.Kind(k)])
 	}
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "\n  VIOLATION %s", v)
@@ -172,12 +172,12 @@ type nodeWave struct {
 //   - commit-exactly-one: concurrent optimistic commits place at most one
 //     live copy — per job, granted commit spans (an enqueue child, no
 //     revoking cancel) never exceed one plus the traced resubmissions.
-func Check(events []core.TraceEvent, opts Opts) Report {
+func Check(events []core.Event, opts Opts) Report {
 	rep := Report{
 		Events: len(events),
-		ByKind: make(map[core.SpanKind]int),
+		ByKind: make(map[core.Kind]int),
 	}
-	add := func(inv string, ev core.TraceEvent, format string, args ...interface{}) {
+	add := func(inv string, ev core.Event, format string, args ...interface{}) {
 		rep.Violations = append(rep.Violations, Violation{
 			Invariant: inv, UUID: ev.UUID, Node: ev.Node, Span: ev.Span,
 			Detail: fmt.Sprintf(format, args...),
@@ -204,7 +204,7 @@ func Check(events []core.TraceEvent, opts Opts) Report {
 	// forward), so their receivers' offer events share the same audit.
 	waveBudget := make(map[waveKey]int)
 	directedWaves := make(map[waveKey]int) // probe count per directed wave
-	kindOf := make(map[uint64]core.SpanKind, len(events))
+	kindOf := make(map[uint64]core.Kind, len(events))
 	for _, ev := range events {
 		if ev.Kind == core.SpanFloodOrigin || ev.Kind == core.SpanDirectedProbe {
 			k := waveKey{uuid: ev.UUID, msg: ev.Msg, origin: ev.Origin, seq: ev.Seq}
@@ -261,7 +261,7 @@ func Check(events []core.TraceEvent, opts Opts) Report {
 	// at the first child of the probe span: fallback, assign, retry
 	// re-flood, fail, or a crash loss.
 	type directedRound struct {
-		open   core.TraceEvent // the directed-probe event
+		open   core.Event // the directed-probe event
 		offers int
 		peers  map[overlay.NodeID]bool
 	}
@@ -669,13 +669,13 @@ type jobState struct {
 	fails       int
 	losses      int
 	resubmits   int
-	assigns     []core.TraceEvent
-	busyAssigns []core.TraceEvent
-	sheds       []core.TraceEvent
-	commits     []core.TraceEvent
+	assigns     []core.Event
+	busyAssigns []core.Event
+	sheds       []core.Event
+	commits     []core.Event
 }
 
-func isFloodEvent(k core.SpanKind) bool {
+func isFloodEvent(k core.Kind) bool {
 	switch k {
 	case core.SpanFloodOrigin, core.SpanForward, core.SpanDuplicate, core.SpanOffer:
 		return true

@@ -1,5 +1,5 @@
 // Package trace reconstructs per-job causal trees from the span events the
-// protocol engine emits (core.TraceEvent) and audits protocol invariants
+// protocol engine emits (core.Event) and audits protocol invariants
 // against them: flood TTL/fanout budgets, exactly-one execution, orphaned
 // assignments, reschedule economics, and retry bounds. The trace plane is
 // what turns endpoint aggregates (makespan, queue time) into mechanically
@@ -13,21 +13,21 @@ import (
 	"github.com/smartgrid/aria/internal/job"
 )
 
-// Collector accumulates every span event of a run. It embeds NopObserver so
-// it can stand alone as a node observer, but in scenarios it normally rides
-// an eventlog.Tee next to the metrics recorder. Safe for concurrent use.
+// Collector accumulates every span event of a run; events without a span
+// are not part of the causal trace and are dropped. Safe for concurrent use.
 type Collector struct {
-	core.NopObserver
-
 	mu     sync.Mutex
-	events []core.TraceEvent
+	events []core.Event
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// TraceSpan implements core.TraceObserver.
-func (c *Collector) TraceSpan(ev core.TraceEvent) {
+// Observe implements core.Observer.
+func (c *Collector) Observe(ev core.Event) {
+	if ev.Span == 0 {
+		return
+	}
 	c.mu.Lock()
 	c.events = append(c.events, ev)
 	c.mu.Unlock()
@@ -41,19 +41,19 @@ func (c *Collector) Len() int {
 }
 
 // Events returns a copy of every collected event in emission order.
-func (c *Collector) Events() []core.TraceEvent {
+func (c *Collector) Events() []core.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]core.TraceEvent, len(c.events))
+	out := make([]core.Event, len(c.events))
 	copy(out, c.events)
 	return out
 }
 
 // ByUUID returns the events of one job in emission order.
-func (c *Collector) ByUUID(uuid job.UUID) []core.TraceEvent {
+func (c *Collector) ByUUID(uuid job.UUID) []core.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []core.TraceEvent
+	var out []core.Event
 	for _, ev := range c.events {
 		if ev.UUID == uuid {
 			out = append(out, ev)
@@ -64,16 +64,15 @@ func (c *Collector) ByUUID(uuid job.UUID) []core.TraceEvent {
 
 // Ring is a bounded collector for long-running daemons: it keeps the most
 // recent capacity events, overwriting the oldest, and counts totals per span
-// kind forever. Safe for concurrent use.
+// kind forever. Like Collector it keeps span events only. Safe for
+// concurrent use.
 type Ring struct {
-	core.NopObserver
-
 	mu     sync.Mutex
-	buf    []core.TraceEvent
+	buf    []core.Event
 	next   int
 	filled bool
 	total  uint64
-	byKind map[core.SpanKind]uint64
+	byKind map[core.Kind]uint64
 }
 
 // NewRing returns a ring collector holding up to capacity events.
@@ -82,13 +81,16 @@ func NewRing(capacity int) *Ring {
 		capacity = 1
 	}
 	return &Ring{
-		buf:    make([]core.TraceEvent, capacity),
-		byKind: make(map[core.SpanKind]uint64),
+		buf:    make([]core.Event, capacity),
+		byKind: make(map[core.Kind]uint64),
 	}
 }
 
-// TraceSpan implements core.TraceObserver.
-func (r *Ring) TraceSpan(ev core.TraceEvent) {
+// Observe implements core.Observer.
+func (r *Ring) Observe(ev core.Event) {
+	if ev.Span == 0 {
+		return
+	}
 	r.mu.Lock()
 	r.buf[r.next] = ev
 	r.next++
@@ -108,10 +110,10 @@ func (r *Ring) Total() uint64 {
 }
 
 // Counts returns a copy of the per-kind lifetime counters.
-func (r *Ring) Counts() map[core.SpanKind]uint64 {
+func (r *Ring) Counts() map[core.Kind]uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[core.SpanKind]uint64, len(r.byKind))
+	out := make(map[core.Kind]uint64, len(r.byKind))
 	for k, v := range r.byKind {
 		out[k] = v
 	}
@@ -119,23 +121,23 @@ func (r *Ring) Counts() map[core.SpanKind]uint64 {
 }
 
 // Events returns the retained events, oldest first.
-func (r *Ring) Events() []core.TraceEvent {
+func (r *Ring) Events() []core.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.filled {
-		out := make([]core.TraceEvent, r.next)
+		out := make([]core.Event, r.next)
 		copy(out, r.buf[:r.next])
 		return out
 	}
-	out := make([]core.TraceEvent, 0, len(r.buf))
+	out := make([]core.Event, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
 	return out
 }
 
 // ByUUID returns the retained events of one job, oldest first.
-func (r *Ring) ByUUID(uuid job.UUID) []core.TraceEvent {
-	var out []core.TraceEvent
+func (r *Ring) ByUUID(uuid job.UUID) []core.Event {
+	var out []core.Event
 	for _, ev := range r.Events() {
 		if ev.UUID == uuid {
 			out = append(out, ev)

@@ -14,10 +14,10 @@ const testUUID = job.UUID("aaaaaaaa-bbbb-cccc-dddd-eeeeeeeeeeee")
 // cleanTrace fabricates the events of one uneventful job: submitted at node
 // 1, discovered over a two-hop REQUEST flood, assigned to node 3, executed
 // there. All invariants hold against the default protocol config.
-func cleanTrace() []core.TraceEvent {
+func cleanTrace() []core.Event {
 	cfg := core.DefaultConfig()
 	at := func(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
-	return []core.TraceEvent{
+	return []core.Event{
 		{At: at(0), Node: 1, Kind: core.SpanSubmit, UUID: testUUID, Span: 0x101},
 		{At: at(1), Node: 1, Kind: core.SpanFloodOrigin, UUID: testUUID, Span: 0x102, Parent: 0x101,
 			Msg: core.MsgRequest, Hop: 0, TTL: cfg.RequestTTL, Fanout: 2, Seq: 1, Origin: 1},
@@ -25,7 +25,7 @@ func cleanTrace() []core.TraceEvent {
 			Msg: core.MsgRequest, Hop: 1, TTL: cfg.RequestTTL - 1, Fanout: 2, Seq: 1, Origin: 1, Peer: 1},
 		{At: at(3), Node: 3, Kind: core.SpanOffer, UUID: testUUID, Span: 0x301, Parent: 0x201,
 			Msg: core.MsgRequest, Hop: 2, TTL: cfg.RequestTTL - 2, Seq: 1, Origin: 1, Peer: 1, Cost: 10},
-		{At: at(4), Node: 2, Kind: core.SpanDuplicate, UUID: testUUID, Parent: 0x102,
+		{At: at(4), Node: 2, Kind: core.SpanDuplicate, UUID: testUUID, Span: 0x202, Parent: 0x102,
 			Msg: core.MsgRequest, Hop: 1, TTL: cfg.RequestTTL - 1, Seq: 1, Origin: 1, Peer: 1},
 		{At: at(5), Node: 1, Kind: core.SpanOfferRecv, UUID: testUUID, Span: 0x103, Parent: 0x301, Peer: 3, Cost: 10},
 		{At: at(6), Node: 1, Kind: core.SpanAssign, UUID: testUUID, Span: 0x104, Parent: 0x102, Peer: 3, Cost: 10},
@@ -58,11 +58,11 @@ func TestCheckCatchesViolations(t *testing.T) {
 		name      string
 		invariant string
 		opts      Opts
-		mutate    func(evs []core.TraceEvent) []core.TraceEvent
+		mutate    func(evs []core.Event) []core.Event
 	}{
 		{
 			name: "ttl over budget", invariant: "flood-ttl",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
+			mutate: func(evs []core.Event) []core.Event {
 				evs[2].TTL = cfg.RequestTTL + 1
 				evs[2].Hop = -1
 				return evs
@@ -70,21 +70,21 @@ func TestCheckCatchesViolations(t *testing.T) {
 		},
 		{
 			name: "hop conservation broken", invariant: "hop-conservation",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
+			mutate: func(evs []core.Event) []core.Event {
 				evs[2].Hop = 3 // should be 1 at ttl 8
 				return evs
 			},
 		},
 		{
 			name: "fanout over budget", invariant: "flood-fanout",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
+			mutate: func(evs []core.Event) []core.Event {
 				evs[1].Fanout = cfg.RequestFanout + 1
 				return evs
 			},
 		},
 		{
 			name: "duplicate re-forwarded", invariant: "double-forward",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
+			mutate: func(evs []core.Event) []core.Event {
 				// The old bug: a node's own re-receipt counted as a forward.
 				dup := evs[2]
 				dup.Span = 0x202
@@ -93,19 +93,19 @@ func TestCheckCatchesViolations(t *testing.T) {
 		},
 		{
 			name: "reschedule at exactly the threshold", invariant: "reschedule-threshold",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
-				return append(evs, core.TraceEvent{
+			mutate: func(evs []core.Event) []core.Event {
+				return append(evs, core.Event{
 					Node: 3, Kind: core.SpanReschedule, UUID: testUUID, Span: 0x305,
 					Parent: 0x302, Peer: 2, OldCost: 1000, Cost: 1000 - 180,
-				}, core.TraceEvent{
+				}, core.Event{
 					Node: 2, Kind: core.SpanEnqueue, UUID: testUUID, Span: 0x203, Parent: 0x305,
 				})
 			},
 		},
 		{
 			name: "assign retries exhausted budget", invariant: "retry-bound",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
-				return append(evs, core.TraceEvent{
+			mutate: func(evs []core.Event) []core.Event {
+				return append(evs, core.Event{
 					Node: 1, Kind: core.SpanRetry, UUID: testUUID, Span: 0x105,
 					Parent: 0x104, Peer: 3, Attempt: cfg.AssignMaxRetries + 1,
 				})
@@ -113,28 +113,28 @@ func TestCheckCatchesViolations(t *testing.T) {
 		},
 		{
 			name: "assign without consequence", invariant: "orphaned-assign",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
+			mutate: func(evs []core.Event) []core.Event {
 				evs[7].Parent = 0x302 // detach the enqueue from the assign
 				return evs
 			},
 		},
 		{
 			name: "double execution", invariant: "exactly-one-start",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
-				return append(evs, core.TraceEvent{
+			mutate: func(evs []core.Event) []core.Event {
+				return append(evs, core.Event{
 					Node: 2, Kind: core.SpanStart, UUID: testUUID, Span: 0x204, Parent: 0x302,
 				})
 			},
 		},
 		{
 			name: "job silently dropped", invariant: "exactly-one-start",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
+			mutate: func(evs []core.Event) []core.Event {
 				return evs[:8] // cut start and complete
 			},
 		},
 		{
 			name: "parent never emitted", invariant: "dangling-parent",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
+			mutate: func(evs []core.Event) []core.Event {
 				evs[8].Parent = 0xdead
 				return evs
 			},
@@ -171,9 +171,9 @@ func TestCheckRelaxations(t *testing.T) {
 		t.Fatalf("AllowIncomplete still failed:\n%s", rep)
 	}
 	// A duplicate start passes only with AllowDuplicateStarts.
-	dup := append(cleanTrace(), core.TraceEvent{
+	dup := append(cleanTrace(), core.Event{
 		Node: 2, Kind: core.SpanStart, UUID: testUUID, Span: 0x204, Parent: 0x302,
-	}, core.TraceEvent{
+	}, core.Event{
 		Node: 2, Kind: core.SpanComplete, UUID: testUUID, Span: 0x205, Parent: 0x204,
 	})
 	if rep := Check(dup, Opts{Protocol: cfg}); rep.OK() {
@@ -216,7 +216,7 @@ func TestForestShape(t *testing.T) {
 func TestCollector(t *testing.T) {
 	c := NewCollector()
 	for _, ev := range cleanTrace() {
-		c.TraceSpan(ev)
+		c.Observe(ev)
 	}
 	if c.Len() != 10 {
 		t.Fatalf("len %d, want 10", c.Len())
@@ -233,7 +233,7 @@ func TestRing(t *testing.T) {
 	r := NewRing(4)
 	evs := cleanTrace()
 	for _, ev := range evs {
-		r.TraceSpan(ev)
+		r.Observe(ev)
 	}
 	if r.Total() != 10 {
 		t.Fatalf("total %d, want 10", r.Total())
@@ -266,9 +266,9 @@ func TestCheckMembershipInvariants(t *testing.T) {
 	// A clean trace with membership activity layered on: a suspicion that
 	// is later confirmed dead, a legal repair, and a legally escalated
 	// re-flood whose forwards exceed the base RequestTTL budget.
-	clean := func() []core.TraceEvent {
+	clean := func() []core.Event {
 		evs := cleanTrace()
-		extra := []core.TraceEvent{
+		extra := []core.Event{
 			{At: at(20), Node: 2, Kind: core.SpanSuspect, Span: 0x210, Peer: 5},
 			{At: at(21), Node: 2, Kind: core.SpanPeerDead, Span: 0x211, Parent: 0x210, Peer: 5},
 			{At: at(22), Node: 2, Kind: core.SpanRepair, Span: 0x212, Parent: 0x211,
@@ -290,34 +290,34 @@ func TestCheckMembershipInvariants(t *testing.T) {
 	cases := []struct {
 		name      string
 		invariant string
-		mutate    func(evs []core.TraceEvent) []core.TraceEvent
+		mutate    func(evs []core.Event) []core.Event
 	}{
 		{
 			name: "re-flood exceeds escalation grant", invariant: "reflood-ttl",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
-				return append(evs, core.TraceEvent{
+			mutate: func(evs []core.Event) []core.Event {
+				return append(evs, core.Event{
 					At: at(40), Node: 1, Kind: core.SpanFloodOrigin, UUID: testUUID, Span: 0x111,
 					Parent: 0x101, Msg: core.MsgRequest, Hop: 0,
-					TTL: cfg.RequestTTL + 2*cfg.ReFloodTTLStep + 1,
+					TTL:    cfg.RequestTTL + 2*cfg.ReFloodTTLStep + 1,
 					Fanout: 2, Seq: 3, Origin: 1, Attempt: 2,
 				})
 			},
 		},
 		{
 			name: "assign targets a dead peer", invariant: "dead-peer-send",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
+			mutate: func(evs []core.Event) []core.Event {
 				return append(evs,
-					core.TraceEvent{At: at(40), Node: 1, Kind: core.SpanPeerDead, Span: 0x112, Peer: 3},
-					core.TraceEvent{At: at(41), Node: 1, Kind: core.SpanAssign, UUID: testUUID,
+					core.Event{At: at(40), Node: 1, Kind: core.SpanPeerDead, Span: 0x112, Peer: 3},
+					core.Event{At: at(41), Node: 1, Kind: core.SpanAssign, UUID: testUUID,
 						Span: 0x113, Parent: 0x102, Peer: 3, Cost: 10},
-					core.TraceEvent{At: at(42), Node: 3, Kind: core.SpanEnqueue, UUID: testUUID,
+					core.Event{At: at(42), Node: 3, Kind: core.SpanEnqueue, UUID: testUUID,
 						Span: 0x310, Parent: 0x113, Peer: 1})
 			},
 		},
 		{
 			name: "repair reconnects a dead peer", invariant: "dead-peer-send",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
-				return append(evs, core.TraceEvent{
+			mutate: func(evs []core.Event) []core.Event {
+				return append(evs, core.Event{
 					At: at(40), Node: 2, Kind: core.SpanRepair, Span: 0x214, Parent: 0x211,
 					Peer: 5, Origin: 5, Fanout: 3,
 				})
@@ -325,8 +325,8 @@ func TestCheckMembershipInvariants(t *testing.T) {
 		},
 		{
 			name: "repair exceeds degree bound", invariant: "repair-degree",
-			mutate: func(evs []core.TraceEvent) []core.TraceEvent {
-				return append(evs, core.TraceEvent{
+			mutate: func(evs []core.Event) []core.Event {
+				return append(evs, core.Event{
 					At: at(40), Node: 2, Kind: core.SpanRepair, Span: 0x215, Parent: 0x211,
 					Peer: 7, Origin: 5, Fanout: cfg.MaxDegree + 1,
 				})

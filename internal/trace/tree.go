@@ -11,7 +11,7 @@ import (
 
 // SpanNode is one node of a job's reconstructed causal tree.
 type SpanNode struct {
-	Event    core.TraceEvent
+	Event    core.Event
 	Children []*SpanNode
 }
 
@@ -20,8 +20,8 @@ type SpanNode struct {
 // span emitted for another job or evicted from a ring buffer) become roots.
 // Roots and children are ordered by time, then span, so the layout is
 // deterministic for a deterministic run.
-func Forest(events []core.TraceEvent) map[job.UUID][]*SpanNode {
-	byJob := make(map[job.UUID][]core.TraceEvent)
+func Forest(events []core.Event) map[job.UUID][]*SpanNode {
+	byJob := make(map[job.UUID][]core.Event)
 	for _, ev := range events {
 		byJob[ev.UUID] = append(byJob[ev.UUID], ev)
 	}
@@ -32,7 +32,7 @@ func Forest(events []core.TraceEvent) map[job.UUID][]*SpanNode {
 	return out
 }
 
-func buildTree(events []core.TraceEvent) []*SpanNode {
+func buildTree(events []core.Event) []*SpanNode {
 	nodes := make([]*SpanNode, len(events))
 	bySpan := make(map[uint64]*SpanNode, len(events))
 	for i, ev := range events {
@@ -85,7 +85,7 @@ func formatNode(b *strings.Builder, n *SpanNode, depth int) {
 
 // formatEvent renders one event as a single line: time, node, kind, and the
 // fields that matter for its kind.
-func formatEvent(ev core.TraceEvent) string {
+func formatEvent(ev core.Event) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s node=%-4d %s", ev.At, ev.Node, ev.Kind)
 	switch ev.Kind {
@@ -111,8 +111,8 @@ func formatEvent(ev core.TraceEvent) string {
 
 // FormatJob reconstructs and renders the causal tree of one job from a raw
 // event stream: the convenience entry point for `ariactl trace` and tests.
-func FormatJob(events []core.TraceEvent, uuid job.UUID) string {
-	var evs []core.TraceEvent
+func FormatJob(events []core.Event, uuid job.UUID) string {
+	var evs []core.Event
 	for _, ev := range events {
 		if ev.UUID == uuid {
 			evs = append(evs, ev)

@@ -21,30 +21,24 @@ type memberEvent struct {
 	node, peer overlay.NodeID
 }
 
-// memberRecorder captures membership-plane callbacks for assertions.
+// memberRecorder captures membership-plane events for assertions.
 type memberRecorder struct {
-	core.NopObserver
-
 	events []memberEvent
 }
 
-func (m *memberRecorder) PeerSuspected(at time.Duration, node, peer overlay.NodeID) {
-	m.events = append(m.events, memberEvent{at, "suspect", node, peer})
+// memberKinds names the recorded kinds.
+var memberKinds = map[core.Kind]string{
+	core.SpanSuspect:  "suspect",
+	core.KindRefuted:  "refute",
+	core.SpanPeerDead: "dead",
+	core.SpanRepair:   "repair",
 }
 
-func (m *memberRecorder) PeerRefuted(at time.Duration, node, peer overlay.NodeID) {
-	m.events = append(m.events, memberEvent{at, "refute", node, peer})
+func (m *memberRecorder) Observe(ev core.Event) {
+	if kind, ok := memberKinds[ev.Kind]; ok {
+		m.events = append(m.events, memberEvent{ev.At, kind, ev.Node, ev.Peer})
+	}
 }
-
-func (m *memberRecorder) PeerDead(at time.Duration, node, peer overlay.NodeID) {
-	m.events = append(m.events, memberEvent{at, "dead", node, peer})
-}
-
-func (m *memberRecorder) LinkRepaired(at time.Duration, node, dead, replacement overlay.NodeID) {
-	m.events = append(m.events, memberEvent{at, "repair", node, replacement})
-}
-
-func (m *memberRecorder) FloodEscalated(time.Duration, overlay.NodeID, job.UUID, int, int) {}
 
 // membershipConfig arms the liveness detector on top of the live test config.
 func membershipConfig(probe, timeout, suspect time.Duration) core.Config {
@@ -119,8 +113,8 @@ func TestMembershipNoFalseDeadUnderJitter(t *testing.T) {
 // ProbeTimeout + SuspectTimeout <= ProbeInterval).
 func TestMembershipDetectionBound(t *testing.T) {
 	tests := []struct {
-		name                     string
-		probe, timeout, suspect  time.Duration
+		name                    string
+		probe, timeout, suspect time.Duration
 	}{
 		{"defaults", core.DefaultProbeInterval, core.DefaultProbeTimeout, core.DefaultSuspectTimeout},
 		{"fast", time.Second, 300 * time.Millisecond, 600 * time.Millisecond},

@@ -49,8 +49,6 @@ func liveJob(rng *rand.Rand, ert time.Duration) job.Profile {
 
 // completionWaiter observes completions and lets tests block on them.
 type completionWaiter struct {
-	core.NopObserver
-
 	mu   sync.Mutex
 	done map[job.UUID]chan struct{}
 }
@@ -70,8 +68,10 @@ func (w *completionWaiter) channel(uuid job.UUID) chan struct{} {
 	return ch
 }
 
-func (w *completionWaiter) JobCompleted(_ time.Duration, _ overlay.NodeID, j *job.Job) {
-	close(w.channel(j.UUID))
+func (w *completionWaiter) Observe(ev core.Event) {
+	if ev.Kind == core.SpanComplete {
+		close(w.channel(ev.UUID))
+	}
 }
 
 func (w *completionWaiter) wait(t *testing.T, uuid job.UUID, timeout time.Duration) {
@@ -383,7 +383,7 @@ func TestSimClusterEquivalence(t *testing.T) {
 		mu.Lock()
 		liveNode = node
 		mu.Unlock()
-		waiter.JobCompleted(0, node, j)
+		close(waiter.channel(j.UUID))
 	}}
 	if _, err := live.AddNode(0, slow, sched.FCFS, liveConfig(), obs, job.ARTModel{Mode: job.DriftNone}); err != nil {
 		t.Fatal(err)
@@ -409,22 +409,17 @@ func TestSimClusterEquivalence(t *testing.T) {
 	}
 }
 
-// funcObserver adapts lifecycle callbacks to core.Observer.
+// funcObserver hands start and completion events to callbacks.
 type funcObserver struct {
-	core.NopObserver
-
 	onCompleted func(node overlay.NodeID, j *job.Job)
 	onStarted   func()
 }
 
-func (f *funcObserver) JobCompleted(_ time.Duration, node overlay.NodeID, j *job.Job) {
-	if f.onCompleted != nil {
-		f.onCompleted(node, j)
-	}
-}
-
-func (f *funcObserver) JobStarted(time.Duration, overlay.NodeID, job.UUID) {
-	if f.onStarted != nil {
+func (f *funcObserver) Observe(ev core.Event) {
+	switch {
+	case ev.Kind == core.SpanComplete && f.onCompleted != nil:
+		f.onCompleted(ev.Node, ev.Job)
+	case ev.Kind == core.SpanStart && f.onStarted != nil:
 		f.onStarted()
 	}
 }
